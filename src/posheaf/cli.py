@@ -8,7 +8,6 @@ to stdout as JSON, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time

@@ -13,9 +13,9 @@ the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .exact_linalg import QQ, ZZ, Matrix, compose, rank, smith_normal_form
+from .exact_linalg import ZZ, Matrix, compose, rank, smith_normal_form
 from .poset import OrderComplex, order_complex
 from .sheaf import SheavedSpace, require_commutative
 
@@ -25,15 +25,11 @@ class ComplexError(Exception):
 
 
 class CochainComplex:
-    """Graded dimensions with differentials d_j : C^j -> C^{j+1}.
+    """Graded dimensions with differentials d_j : C^j -> C^{j+1}."""
 
-    `basis[j]` labels the coordinates of C^j as (chain, stalk index)
-    pairs.
-    """
+    __slots__ = ("degrees", "differentials")
 
-    __slots__ = ("degrees", "differentials", "basis")
-
-    def __init__(self, degrees, differentials, basis=None):
+    def __init__(self, degrees, differentials):
         self.degrees = tuple(degrees)
         self.differentials = tuple(differentials)
         if len(self.differentials) != max(len(self.degrees) - 1, 0):
@@ -44,7 +40,6 @@ class CochainComplex:
                     f"d_{j} has shape {d.rows}x{d.cols}, expected "
                     f"{self.degrees[j + 1]}x{self.degrees[j]}"
                 )
-        self.basis = tuple(tuple(b) for b in basis) if basis is not None else None
 
     def check_d_squared(self) -> None:
         for j in range(len(self.differentials) - 1):
@@ -140,42 +135,37 @@ def roos_complex(sp: SheavedSpace) -> CochainComplex:
     k = order_complex(sp.poset)
     degrees = []
     offsets = []  # per level: chain -> first coordinate
-    bases = []
     for level in k.simplices:
         off = {}
         total = 0
-        labels = []
         for chain in level:
             off[chain] = total
-            d = f.stalk_dim[chain[-1]]
-            total += d
-            labels.extend((chain, i) for i in range(d))
+            total += f.stalk_dim[chain[-1]]
         degrees.append(total)
         offsets.append(off)
-        bases.append(labels)
     diffs = []
     for j in range(len(degrees) - 1):
-        rows = [[ring.coerce(0)] * degrees[j] for _ in range(degrees[j + 1])]
+        rows = [{} for _ in range(degrees[j + 1])]
         for tau in k.simplices[j + 1]:
             t_off = offsets[j + 1][tau]
             top = tau[-1]
             dt = f.stalk_dim[top]
+            # the faces are distinct chains, so their column blocks are disjoint
             for i in range(len(tau)):
                 sigma = tau[:i] + tau[i + 1:]
                 s_off = offsets[j][sigma]
                 sign = -1 if i % 2 else 1
                 if i == len(tau) - 1:
                     m = f.restriction(sigma[-1], top)
-                    for r in range(m.rows):
-                        for c in range(m.cols):
-                            x = m.entries[r][c]
-                            if x:
-                                rows[t_off + r][s_off + c] += sign * x
+                    for r, mrow in enumerate(m.sparse):
+                        row = rows[t_off + r]
+                        for c, x in mrow.items():
+                            row[s_off + c] = sign * x
                 else:
                     for r in range(dt):
-                        rows[t_off + r][s_off + r] += ring.coerce(sign)
-        diffs.append(Matrix(ring, degrees[j + 1], degrees[j], rows))
-    return CochainComplex(degrees, diffs, bases)
+                        rows[t_off + r][s_off + r] = sign
+        diffs.append(Matrix.from_sparse(ring, degrees[j + 1], degrees[j], rows))
+    return CochainComplex(degrees, diffs)
 
 
 def field_cohomology(c: CochainComplex) -> HomologyResult:
@@ -208,13 +198,12 @@ def simplicial_chain_complex(k: OrderComplex, ring, reduced: bool = False) -> Ch
     if reduced and degrees:
         boundaries.append(Matrix(ring, 1, degrees[0], [[1] * degrees[0]]))
     for j in range(1, len(degrees)):
-        rows = [[ring.coerce(0)] * degrees[j] for _ in range(degrees[j - 1])]
+        rows = [{} for _ in range(degrees[j - 1])]
         for col, chain in enumerate(k.simplices[j]):
             for i in range(len(chain)):
                 face = chain[:i] + chain[i + 1:]
-                sign = -1 if i % 2 else 1
-                rows[index[j - 1][face]][col] += ring.coerce(sign)
-        boundaries.append(Matrix(ring, degrees[j - 1], degrees[j], rows))
+                rows[index[j - 1][face]][col] = -1 if i % 2 else 1
+        boundaries.append(Matrix.from_sparse(ring, degrees[j - 1], degrees[j], rows))
     return ChainComplex(degrees, boundaries, reduced=reduced)
 
 

@@ -203,30 +203,5 @@ def space_to_data(sp: SheavedSpace, field_tag: str, generator: Optional[dict] = 
     return data
 
 
-def document_to_data(doc: SpaceDocument, generator: Optional[dict] = None) -> dict:
-    """Canonical raw form of a parsed document (for round-tripping)."""
-    data = {
-        "generator": generator or {"tool": "posheaf", "version": __version__},
-        "field": doc.field_tag,
-        "elements": list(doc.elements),
-        "covers": [list(c) for c in sorted(doc.covers)],
-    }
-    if doc.has_sheaf_block():
-        data["sheaf"] = {
-            "stalks": {e: doc.stalks[e] for e in sorted(doc.stalks)},
-            "maps": {
-                f"{u}{MAP_KEY_SEP}{v}": [
-                    [_canonical_scalar(x) for x in row] for row in doc.maps[(u, v)]
-                ]
-                for (u, v) in sorted(doc.maps)
-            },
-        }
-    return data
-
-
-def _canonical_scalar(s: str) -> str:
-    return str(Fraction(s))
-
-
 def dump_json(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"

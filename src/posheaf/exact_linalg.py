@@ -1,19 +1,20 @@
-"""Exact dense matrices over Q, GF(p) and Z.
+"""Exact sparse matrices over Q, GF(p) and Z.
 
 Ranks, kernels and Smith normal forms are computed exactly; no floating
-point anywhere.  Matrices are immutable.  For large sparse inputs (Roos
-differentials, simplicial boundary matrices) rank and SNF switch to
-sparse elimination internally; the dense row-major representation is the
-contract, the sparse path is an implementation detail.
+point anywhere.  Matrices are immutable and store only their nonzero
+entries, row by row; the dense `entries` view is derived on demand.
+One sparse elimination kernel (shortest row first, then the sparsest
+column, preferring +-1 pivots) serves rank, kernel bases and the unit
+phase of the Smith normal form.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 
 class LinalgError(Exception):
@@ -43,6 +44,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _exact(x):
+    """x as an int or a Fraction; floats and unparsable values are refused."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float):
+        raise LinalgError(f"binary floats are not exact scalars: {x!r}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise LinalgError(f"not an exact scalar: {x!r}") from e
+
+
+def _integer(x, what: str) -> int:
+    x = _exact(x)
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise LinalgError(f"not {what}: {x}")
+        return x.numerator
+    return int(x)
+
+
 class Rationals:
     """The field Q; elements are fractions.Fraction (always reduced)."""
 
@@ -50,7 +72,8 @@ class Rationals:
     is_field = True
 
     def coerce(self, x):
-        return Fraction(x)
+        x = _exact(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     def __repr__(self):
         return "QQ"
@@ -69,11 +92,7 @@ class Integers:
     is_field = False
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise LinalgError(f"not an integer: {x}")
-            return x.numerator
-        return int(x)
+        return _integer(x, "an integer")
 
     def __repr__(self):
         return "ZZ"
@@ -99,11 +118,7 @@ class PrimeField:
         self.name = f"GF({p})"
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise LinalgError(f"not a GF({self.p}) residue: {x}")
-            x = x.numerator
-        return int(x) % self.p
+        return _integer(x, f"a GF({self.p}) residue") % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -123,30 +138,54 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
-# Above this entry count rank/SNF use the sparse/vectorized paths.
-_DENSE_LIMIT = 10_000
+def _modulus(ring):
+    return ring.p if isinstance(ring, PrimeField) else None
 
 
 class Matrix:
-    """Immutable dense matrix with a fixed scalar ring.
+    """Immutable sparse matrix with a fixed scalar ring.
 
-    Entries are a tuple of row tuples.  0xn and nx0 shapes are legal.
+    `sparse` holds one dict per row, mapping column index to a nonzero
+    entry; callers must not mutate it.  0xn and nx0 shapes are legal.
     A cover map for an edge (u, v) of a poset is stored here as a
     dim(v) x dim(u) matrix acting on column vectors.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "sparse")
 
     def __init__(self, ring, rows: int, cols: int, entries):
+        """A matrix from dense rows (any iterables of scalars)."""
+        dense = [[ring.coerce(x) for x in row] for row in entries]
+        if len(dense) != rows or any(len(r) != cols for r in dense):
+            raise ShapeError(f"entries do not fill a {rows}x{cols} matrix")
+        self._set(ring, rows, cols, [{j: x for j, x in enumerate(r) if x} for r in dense])
+
+    @classmethod
+    def from_sparse(cls, ring, rows: int, cols: int, sparse) -> "Matrix":
+        """A matrix from one {column: value} mapping per row.
+
+        Values are coerced into the ring; those that become zero are
+        dropped.
+        """
+        coerce = ring.coerce
+        kept = []
+        for row in sparse:
+            if row and (min(row) < 0 or max(row) >= cols):
+                raise ShapeError(f"column index outside a {rows}x{cols} matrix")
+            kept.append({j: x for j, v in row.items() if (x := coerce(v))})
+        if len(kept) != rows:
+            raise ShapeError(f"{len(kept)} rows given for a {rows}x{cols} matrix")
+        m = cls.__new__(cls)
+        m._set(ring, rows, cols, kept)
+        return m
+
+    def _set(self, ring, rows, cols, sparse):
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative shape {rows}x{cols}")
-        ents = tuple(tuple(ring.coerce(x) for x in row) for row in entries)
-        if len(ents) != rows or any(len(r) != cols for r in ents):
-            raise ShapeError(f"entries do not fill a {rows}x{cols} matrix")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = ents
+        self.sparse = tuple(sparse)
 
     @classmethod
     def from_rows(cls, ring, rows: Sequence[Sequence]) -> "Matrix":
@@ -156,15 +195,28 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n: int) -> "Matrix":
-        return cls(ring, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_sparse(ring, n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, ring, rows: int, cols: int) -> "Matrix":
-        return cls(ring, rows, cols, [[0] * cols for _ in range(rows)])
+        return cls.from_sparse(ring, rows, cols, [{}] * rows)
+
+    @property
+    def entries(self) -> tuple:
+        """Dense read-only view: a tuple of row tuples."""
+        zero = self.ring.coerce(0)
+        out = []
+        for row in self.sparse:
+            dense = [zero] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        i, j = range(self.rows)[i], range(self.cols)[j]
+        return self.sparse[i].get(j, self.ring.coerce(0))
 
     def __eq__(self, other):
         return (
@@ -172,24 +224,21 @@ class Matrix:
             and self.ring == other.ring
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse == other.sparse
         )
 
     def __hash__(self):
-        return hash((self.ring, self.entries))
+        return hash((self.ring, self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.sparse)))
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(not any(row) for row in self.entries)
+        return not any(self.sparse)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return compose(self, other)
@@ -198,17 +247,9 @@ class Matrix:
         """Matrix-vector product (column vector)."""
         if len(vec) != self.cols:
             raise ShapeError(f"vector length {len(vec)} != cols {self.cols}")
-        v = [self.ring.coerce(x) for x in vec]
-        out = []
-        for row in self.entries:
-            acc = self.ring.coerce(0)
-            for a, x in zip(row, v):
-                if a:
-                    acc += a * x
-            if isinstance(self.ring, PrimeField):
-                acc %= self.ring.p
-            out.append(acc)
-        return tuple(out)
+        coerce = self.ring.coerce
+        v = [coerce(x) for x in vec]
+        return tuple(coerce(sum(a * v[j] for j, a in row.items())) for row in self.sparse)
 
 
 def compose(a: Matrix, b: Matrix) -> Matrix:
@@ -217,22 +258,14 @@ def compose(a: Matrix, b: Matrix) -> Matrix:
         raise KindMismatchError(f"{a.ring} vs {b.ring}")
     if a.cols != b.rows:
         raise ShapeError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    p = a.ring.p if isinstance(a.ring, PrimeField) else None
-    zero = a.ring.coerce(0)
-    out = [[zero] * b.cols for _ in range(a.rows)]
-    # Iterate only over nonzeros of a; Roos differentials are very sparse.
-    for i, arow in enumerate(a.entries):
-        orow = out[i]
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            brow = b.entries[k]
-            for j, bkj in enumerate(brow):
-                if bkj:
-                    orow[j] = orow[j] + aik * bkj
-        if p is not None:
-            out[i] = [x % p for x in orow]
-    return Matrix(a.ring, a.rows, b.cols, out)
+    out = []
+    for arow in a.sparse:
+        acc = {}
+        for k, aik in arow.items():
+            for j, bkj in b.sparse[k].items():
+                acc[j] = acc.get(j, 0) + aik * bkj
+        out.append(acc)
+    return Matrix.from_sparse(a.ring, a.rows, b.cols, out)
 
 
 def _require_field(m: Matrix, op: str):
@@ -240,172 +273,116 @@ def _require_field(m: Matrix, op: str):
         raise KindMismatchError(f"{op} requires field entries, got {m.ring}")
 
 
-def _sparse_rows(m: Matrix):
-    zero = m.ring.coerce(0)
-    rows = []
-    for row in m.entries:
-        d = {j: x for j, x in enumerate(row) if x != zero}
-        rows.append(d)
-    return rows
+def _eliminate(m: Matrix):
+    """Sparse forward elimination of the rows of m (m is not changed).
 
+    Repeatedly takes the shortest live row and, within it, the column
+    with the fewest live rows, preferring a +-1 entry; that entry
+    clears its column from every other live row, and the pivot row is
+    frozen as it stands.  Over Z only +-1 entries may pivot, so that
+    the elimination stays unimodular: a row with no unit entry is
+    parked until an update touches it.
 
-def _rank_sparse_field(m: Matrix) -> int:
-    """Exact sparse Gaussian elimination; Markowitz-style pivoting.
-
-    Prefers +-1 pivots so that integer-entried inputs (boundary and Roos
-    matrices) eliminate without coefficient growth.
+    Returns (pivots, residual).  `pivots` lists (column, row) in
+    elimination order; a frozen row has no entry in an earlier pivot
+    column.  `residual` holds the parked rows left over (always empty
+    over a field).
     """
-    ring = m.ring
-    p = ring.p if isinstance(ring, PrimeField) else None
-    rows = [d for d in _sparse_rows(m) if d]
+    p = _modulus(m.ring)
+    units_only = not m.ring.is_field
+    minus_one = p - 1 if p is not None else -1
+    rows = [dict(r) for r in m.sparse]
     col_rows: dict[int, set[int]] = {}
-    for i, d in enumerate(rows):
-        for j in d:
+    for i, row in enumerate(rows):
+        for j in row:
             col_rows.setdefault(j, set()).add(i)
-    alive = set(range(len(rows)))
-    rank = 0
-    while alive:
-        # cheapest pivot: unit value if possible, then sparsest row
-        best = None
-        for i in alive:
-            d = rows[i]
-            cost = len(d)
-            unit = any(v == 1 or v == -1 for v in d.values())
-            key = (0 if unit else 1, cost)
-            if best is None or key < best[0]:
-                best = (key, i)
-                if key == (0, 1):
-                    break
-        i = best[1]
-        d = rows[i]
-        # pivot column: unit entry in the fewest-populated column
-        pj, pv = None, None
-        for j, v in d.items():
-            u = v == 1 or v == -1
-            k = (0 if u else 1, len(col_rows.get(j, ())))
-            if pj is None or k < pk:
-                pj, pv, pk = j, v, k
-        alive.discard(i)
-        rank += 1
-        inv = pow(pv, p - 2, p) if p is not None else 1 / pv
-        targets = [t for t in col_rows.get(pj, ()) if t in alive]
-        for t in targets:
+    # (length, row) entries go stale when a row changes; a changed row
+    # is pushed again, so a popped entry counts only if its length holds.
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    parked: set[int] = set()
+    pivots = []
+    while heap:
+        n, i = heapq.heappop(heap)
+        row = rows[i]
+        if row is None or i in parked or n != len(row):
+            continue
+        pj = pv = key = None
+        for j, v in row.items():
+            unit = v == 1 or v == minus_one
+            if units_only and not unit:
+                continue
+            k = (not unit, len(col_rows[j]))
+            if key is None or k < key:
+                pj, pv, key = j, v, k
+        if pj is None:
+            parked.add(i)
+            continue
+        rows[i] = None
+        pivots.append((pj, row))
+        for j in row:
+            col_rows[j].discard(i)
+        if key[0]:
+            inv = pow(pv, -1, p) if p is not None else 1 / pv
+        else:
+            inv = pv  # +-1 is its own inverse
+        for t in col_rows.pop(pj):
             dt = rows[t]
-            f = dt[pj] * inv
+            f = dt.pop(pj) * inv
             if p is not None:
                 f %= p
-            for j, v in d.items():
+            for j, v in row.items():
+                if j == pj:
+                    continue
                 nv = dt.get(j, 0) - f * v
                 if p is not None:
                     nv %= p
                 if nv:
+                    if j not in dt:
+                        col_rows[j].add(t)
                     dt[j] = nv
-                    col_rows.setdefault(j, set()).add(t)
-                else:
-                    if j in dt:
-                        del dt[j]
-                        col_rows[j].discard(t)
-            if not dt:
-                alive.discard(t)
-        for t in col_rows.get(pj, ()):
-            rows[t].pop(pj, None)
-        col_rows.pop(pj, None)
-    return rank
-
-
-def _rank_gf_numpy(m: Matrix) -> int:
-    """Vectorized elimination over GF(p); exact since p < 2^31 fits int64."""
-    p = m.ring.p
-    a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols) % p
-    rank = 0
-    row = 0
-    for col in range(m.cols):
-        piv = None
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        below = np.nonzero(a[row + 1:, col])[0]
-        if below.size:
-            idx = below + row + 1
-            a[idx] = (a[idx] - np.outer(a[idx, col], a[row])) % p
-        rank += 1
-        row += 1
-        if row == m.rows:
-            break
-    return rank
-
-
-def _rref_dense(m: Matrix):
-    """Dense reduced row echelon form; returns (rows, pivot_cols)."""
-    ring = m.ring
-    p = ring.p if isinstance(ring, PrimeField) else None
-    a = [list(row) for row in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p) if p is not None else 1 / Fraction(a[r][c])
-        a[r] = [(x * inv) % p if p is not None else x * inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                if p is not None:
-                    a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-                else:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return a, pivots
+                elif j in dt:
+                    del dt[j]
+                    col_rows[j].discard(t)
+            parked.discard(t)
+            if dt:
+                heapq.heappush(heap, (len(dt), t))
+    return pivots, [rows[i] for i in parked]
 
 
 def rank(m: Matrix) -> int:
     """Dimension of the column span, over Q or GF(p)."""
     _require_field(m, "rank")
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.rows * m.cols > _DENSE_LIMIT:
-        if isinstance(m.ring, PrimeField):
-            return _rank_gf_numpy(m)
-        return _rank_sparse_field(m)
-    _, pivots = _rref_dense(m)
-    return len(pivots)
+    return len(_eliminate(m)[0])
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:
-    """Basis of {x : m.x = 0} as column vectors (tuples)."""
+    """Basis of {x : m.x = 0} as column vectors (tuples).
+
+    One vector per non-pivot column f: x_f = 1, the other non-pivot
+    coordinates 0, pivot coordinates solved from the frozen pivot rows
+    in reverse elimination order.
+    """
     _require_field(m, "kernel_basis")
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        eye = Matrix.identity(m.ring, m.cols)
-        return [eye.entries[i] for i in range(m.cols)]
-    a, pivots = _rref_dense(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
     ring = m.ring
-    p = ring.p if isinstance(ring, PrimeField) else None
+    p = _modulus(ring)
+    pivots, _ = _eliminate(m)
+    pivot_cols = {c for c, _ in pivots}
+    zero, one = ring.coerce(0), ring.coerce(1)
     basis = []
-    for f in free:
-        v = [ring.coerce(0)] * m.cols
-        v[f] = ring.coerce(1)
-        for r, c in enumerate(pivots):
-            x = -a[r][f]
-            v[c] = x % p if p is not None else x
-        basis.append(tuple(v))
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
+        x = {f: one}
+        for c, row in reversed(pivots):
+            s = sum(v * x[j] for j, v in row.items() if j in x)
+            if p is not None:
+                s = -s * pow(row[c], -1, p) % p
+            else:
+                s = -s / row[c]
+            if s:
+                x[c] = s
+        basis.append(tuple(x.get(j, zero) for j in range(m.cols)))
     return basis
 
 
@@ -431,126 +408,93 @@ class SmithForm:
         return tuple(d for d in self.diagonal if d > 1)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a, b >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _bezout(u: list[int], v: list[int], k: int, modulus: int):
+    """A unimodular combination of u and v, mod `modulus`, that puts
+    gcd(u[k], v[k]) at u[k] and 0 at v[k]; u is kept when u[k] | v[k]."""
+    a, b = u[k], v[k]
+    if b % a == 0:
+        q = b // a
+        return u, [(y - q * x) % modulus for x, y in zip(u, v)]
+    g, s, t = _xgcd(a, b)
+    p, q = a // g, b // g
+    return ([(s * x + t * y) % modulus for x, y in zip(u, v)],
+            [(p * y - q * x) % modulus for x, y in zip(u, v)])
+
+
+def _divisibility_chain(diag: list[int]) -> list[int]:
+    """The invariant factors of diag(d_1, ..., d_n), all d_i >= 1.
+
+    Replacing a pair by its gcd and lcm keeps, for every prime, the
+    multiset of exponents; after row i, d_i divides every later entry.
+    """
+    diag = list(diag)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
+
+
 def _snf_dense(rows: list[dict[int, int]]) -> list[int]:
-    """Textbook SNF by elementary operations, min-abs pivot; on dicts."""
-    # densify
-    cols = sorted({j for d in rows for j in d})
-    cmap = {j: k for k, j in enumerate(cols)}
-    a = [[0] * len(cols) for _ in rows]
-    for i, d in enumerate(rows):
-        for j, v in d.items():
-            a[i][cmap[j]] = v
-    nr, nc = len(a), len(cols)
+    """Invariant factors of the integer rows left without unit pivots.
+
+    The kernel over Q gives their rank r and the determinant D of a
+    nonsingular r x r minor (the product of its pivots).  As d_1...d_r
+    divides D, the block is diagonalized over Z/DZ, where no entry
+    outgrows D, by extended-gcd row and column operations; each
+    diagonal entry e stands for gcd(e, D), and d_i = gcd(d_i, D).
+    """
+    cols = {j: k for k, j in enumerate(sorted({j for d in rows for j in d}))}
+    rows = [{cols[j]: v for j, v in d.items()} for d in rows]
+    nr, nc = len(rows), len(cols)
+    pivots, _ = _eliminate(Matrix.from_sparse(QQ, nr, nc, rows))
+    r = len(pivots)
+    det = int(abs(math.prod(row[c] for c, row in pivots)))
+    a = [[d.get(j, 0) % det for j in range(nc)] for d in rows]
     diag = []
-    t = 0
-    while True:
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (piv is None or abs(a[i][j]) < piv[0]):
-                    piv = (abs(a[i][j]), i, j)
-        if piv is None:
+    for t in range(min(nr, nc)):
+        nz = next(((i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]), None)
+        if nz is None:
             break
-        _, pi, pj = piv
+        pi, pj = nz
         a[t], a[pi] = a[pi], a[t]
         for row in a:
             row[t], row[pj] = row[pj], row[t]
+        # each pass that changes a[t][t] replaces it by a proper divisor
         while True:
-            # clear column t
-            dirty = False
             for i in range(t + 1, nr):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            # clear row t
+                    a[t], a[i] = _bezout(a[t], a[i], t, det)
             for j in range(t + 1, nc):
                 if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
+                    ct, cj = _bezout([row[t] for row in a], [row[j] for row in a], t, det)
+                    for row, x, y in zip(a, ct, cj):
+                        row[t], row[j] = x, y
+            if not any(a[i][t] for i in range(t + 1, nr)):
                 break
-        diag.append(abs(a[t][t]))
-        t += 1
-        if t == nr or t == nc:
-            break
-    return diag
+        diag.append(math.gcd(a[t][t], det))
+    return (_divisibility_chain(diag) + [det] * r)[:r]
 
 
 def smith_normal_form(m: Matrix) -> SmithForm:
     """Smith normal form of an integer matrix.
 
     Unit pivots are eliminated sparsely first (boundary matrices are
-    mostly +-1), then the small remaining block goes through the dense
-    minimal-pivot reduction; the divisibility chain is fixed at the end.
+    mostly +-1): each one splits off an invariant factor 1.  The
+    residual block, whose rows have no unit entry left, goes through
+    the dense reduction modulo a minor's determinant.
     """
     if m.ring != ZZ:
         raise KindMismatchError(f"smith_normal_form requires Z entries, got {m.ring}")
-    rows = [d for d in _sparse_rows(m) if d]
-    col_rows: dict[int, set[int]] = {}
-    for i, d in enumerate(rows):
-        for j in d:
-            col_rows.setdefault(j, set()).add(i)
-    alive = set(range(len(rows)))
-    ones = 0
-    while True:
-        # pick a unit pivot minimizing fill
-        best = None
-        for i in alive:
-            for j, v in rows[i].items():
-                if v == 1 or v == -1:
-                    k = (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-                    if best is None or k < best[0]:
-                        best = (k, i, j, v)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj, pv = best
-        d = rows[pi]
-        alive.discard(pi)
-        ones += 1
-        for t in [t for t in col_rows.get(pj, ()) if t in alive]:
-            dt = rows[t]
-            f = dt[pj] * pv  # pv in {1,-1}: f = dt[pj] / pv
-            for j, v in d.items():
-                nv = dt.get(j, 0) - f * v
-                if nv:
-                    dt[j] = nv
-                    col_rows.setdefault(j, set()).add(t)
-                elif j in dt:
-                    del dt[j]
-                    col_rows[j].discard(t)
-            if not dt:
-                alive.discard(t)
-        # column pj now has its only nonzero in the pivot row: clearing the
-        # pivot row by column ops touches nothing else, so drop row and col.
-        for j in d:
-            col_rows.get(j, set()).discard(pi)
-        col_rows.pop(pj, None)
-    rest = [rows[i] for i in alive if rows[i]]
-    diag = [1] * ones + _snf_dense(rest) if rest else [1] * ones
-    diag = [d for d in diag if d != 0]
-    # restore divisibility by pairwise gcd/lcm
-    import math
-
-    n = len(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if diag[j] % diag[i] != 0:
-                    g = math.gcd(diag[i], diag[j])
-                    l = diag[i] * diag[j] // g
-                    diag[i], diag[j] = g, l
-                    changed = True
-        diag.sort()
-    return SmithForm(tuple(diag))
+    pivots, rest = _eliminate(m)
+    return SmithForm(tuple([1] * len(pivots) + (_snf_dense(rest) if rest else [])))

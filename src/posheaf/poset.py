@@ -123,15 +123,6 @@ class Poset:
                     heapq.heappush(ready, v)
         return tuple(out)
 
-    def height(self) -> int:
-        """Length (edge count) of a longest chain; -1 for the empty poset."""
-        if not self.elements:
-            return -1
-        depth = {}
-        for e in self.linear_extension():
-            depth[e] = 1 + max((depth[u] for u in self._lower[e]), default=0)
-        return max(depth.values()) - 1
-
 
 def _strict_above(elements, upper) -> dict:
     above = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .exact_linalg import GF, QQ, Matrix, PrimeField, Rationals, rank, kernel_basis, compose
+from .exact_linalg import Matrix, PrimeField, Rationals, compose, kernel_basis
 from .poset import Poset, induced_subposet, leq
 
 
@@ -299,15 +299,11 @@ def global_sections(sp: SheavedSpace) -> SectionSpace:
         total += f.stalk_dim[e]
     rows = []
     for (u, v) in sorted(p.covers):
-        m = f.cover_maps[(u, v)]
-        for i in range(m.rows):
-            row = [ring.coerce(0)] * total
-            for j in range(m.cols):
-                row[offsets[u] + j] = m.entries[i][j]
-            row[offsets[v] + i] = row[offsets[v] + i] - ring.coerce(1)
-            if isinstance(ring, PrimeField):
-                row = [x % ring.p for x in row]
+        for i, mrow in enumerate(f.cover_maps[(u, v)].sparse):
+            # u != v, so the two stalk blocks of the row are disjoint
+            row = {offsets[u] + j: x for j, x in mrow.items()}
+            row[offsets[v] + i] = -1
             rows.append(row)
-    mat = Matrix(ring, len(rows), total, rows)
+    mat = Matrix.from_sparse(ring, len(rows), total, rows)
     basis = kernel_basis(mat)
     return SectionSpace(total, basis, offsets)

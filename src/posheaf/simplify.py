@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .cohomology import integral_reduced_homology, is_acyclic
+from .cohomology import is_acyclic
 from .exact_linalg import rank
 from .poset import Poset, downset, is_downbeat, is_upbeat_poset, order_complex, upset
 from .sheaf import SheavedSpace, is_constant, restrict

@@ -8,6 +8,8 @@ commutativity while scrambling the maps.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -55,6 +57,51 @@ def invert(m: Matrix) -> Matrix:
                 else:
                     a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return Matrix(ring, n, n, [row[n:] for row in a])
+
+
+def reference_rank(rows, p: int | None = None) -> int:
+    """Rank of dense integer rows over Q (p None) or GF(p).
+
+    Plain row-echelon elimination, column by column with the first
+    nonzero pivot: a slow reference for the library's sparse kernel.
+    """
+    a = [[Fraction(x) if p is None else int(x) % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c] if p is None else pow(a[r][c], -1, p)
+        for i in range(r + 1, len(a)):
+            if a[i][c]:
+                f = a[i][c] * inv
+                a[i] = [x - f * y if p is None else (x - f * y) % p
+                        for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def reference_invariant_factors(rows) -> tuple:
+    """Smith invariant factors of small integer rows, from the gcds
+    Delta_k of all k x k minors: d_k = Delta_k / Delta_(k-1)."""
+    def det(m):
+        if not m:
+            return 1
+        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
+                   for j in range(len(m)) if m[0][j])
+
+    factors, prev = [], 1
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        g = 0
+        for rs in itertools.combinations(rows, k):
+            for cs in itertools.combinations(range(len(rows[0])), k):
+                g = math.gcd(g, det([[r[j] for j in cs] for r in rs]))
+        if g == 0:
+            break
+        factors.append(g // prev)
+        prev = g
+    return tuple(factors)
 
 
 def random_invertible(rng: random.Random, ring, n: int) -> Matrix:

@@ -1,9 +1,15 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import reference_invariant_factors, reference_rank
 from posheaf.exact_linalg import (
     GF,
     QQ,
@@ -151,6 +157,12 @@ def test_kernel_vectors_in_kernel_and_independent(rows):
         assert rank(assembled) == len(basis)
 
 
+@given(small_int_matrices)
+@settings(max_examples=60, deadline=None)
+def test_smith_matches_determinantal_divisors(rows):
+    assert smith_normal_form(M(ZZ, rows)).diagonal == reference_invariant_factors(rows)
+
+
 def _random_unimodular(rng, n):
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
@@ -185,14 +197,79 @@ def test_rational_entries_stay_reduced():
     assert str(m[0, 1]) == "-3/2"
 
 
-def test_large_sparse_rank_paths_agree():
-    # force both the dense and the sparse/numpy code paths on one input
-    rng = random.Random(5)
-    rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(40)] for _ in range(40)]
-    from posheaf import exact_linalg as xl
+def _check_against_reference(rows):
+    cols = len(rows[0])
+    m = M(QQ, rows)
+    r = reference_rank(rows)
+    assert rank(m) == r
+    assert len(kernel_basis(m)) == cols - r
+    diagonal = smith_normal_form(M(ZZ, rows)).diagonal
+    assert len(diagonal) == r
+    for p in (2, 3, 5, 7):
+        rp = reference_rank(rows, p)
+        assert rank(M(GF(p), rows)) == rp
+        assert len(kernel_basis(M(GF(p), rows))) == cols - rp
+        assert rp == sum(1 for d in diagonal if d % p)
 
-    mq = M(QQ, rows)
-    m7 = M(GF(7), rows)
-    dense_q, dense_7 = rank(mq), rank(m7)
-    assert xl._rank_sparse_field(mq) == dense_q
-    assert xl._rank_gf_numpy(m7) == dense_7
+
+sparse_int_matrices = st.integers(1, 9).flatmap(
+    lambda r: st.integers(1, 9).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 6]), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@given(sparse_int_matrices)
+@settings(max_examples=150, deadline=None)
+def test_rank_kernel_and_smith_match_dense_reference(rows):
+    _check_against_reference(rows)
+
+
+def test_large_sparse_input_matches_dense_reference():
+    # Boundary matrix of 90 random triangles on 16 vertices: 120 x 90 =
+    # 10,800 entries, 270 of them nonzero.  A few triangles are scaled
+    # by 2 or 3, so the Smith form has a residual without unit pivots.
+    rng = random.Random(5)
+    edges = list(itertools.combinations(range(16), 2))
+    triangles = rng.sample(list(itertools.combinations(range(16), 3)), 90)
+    rows = [[0] * len(triangles) for _ in edges]
+    for c, (a, b, d) in enumerate(triangles):
+        scale = rng.choice([1] * 10 + [2, 3])
+        for sign, e in ((1, (b, d)), (-1, (a, d)), (1, (a, b))):
+            rows[edges.index(e)][c] = sign * scale
+    _check_against_reference(rows)
+
+
+@given(sparse_int_matrices)
+@settings(max_examples=40, deadline=None)
+def test_dense_and_sparse_construction_agree(rows):
+    m = M(QQ, rows)
+    s = Matrix.from_sparse(QQ, m.rows, m.cols,
+                           [{j: x for j, x in enumerate(row)} for row in rows])
+    assert m.entries == tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert m == s and hash(m) == hash(s)
+    assert all(isinstance(x, Fraction) for row in m.entries for x in row)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix(QQ, 1, 1, [[0.1]]),
+    lambda: ZZ.coerce(2.5),
+    lambda: GF(7).coerce(2.5),
+    lambda: ZZ.coerce("1.5"),
+], ids=["float-in-QQ-matrix", "float-to-ZZ", "float-to-GF7", "fractional-string-to-ZZ"])
+def test_inexact_scalars_rejected(make):
+    with pytest.raises(LinalgError):
+        make()
+
+
+def test_import_does_not_load_numpy():
+    import posheaf
+
+    src = os.path.dirname(os.path.dirname(posheaf.__file__))
+    code = "import sys, posheaf; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
