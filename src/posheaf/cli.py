@@ -51,6 +51,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(message)
 
 
+def _degree(text: str) -> int:
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid degree {text!r}")
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"degree must be at least 0, got {d}")
+    return d
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="posheaf", description=__doc__)
     parser.add_argument("--version", action="version", version=f"posheaf {__version__}")
@@ -61,7 +71,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cohomology", help="sheaf cohomology Betti numbers")
     p.add_argument("path")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_degree, default=None)
 
     p = sub.add_parser("homology", help="integral homology of the order complex")
     p.add_argument("path")

@@ -82,11 +82,15 @@ def parse_space(data) -> SpaceDocument:
     known = set(elements)
     if len(known) != len(elements):
         raise DocumentError("duplicate element names")
+    if not isinstance(data["covers"], list):
+        raise DocumentError("'covers' must be a list")
     covers = []
     for c in data["covers"]:
         if not (isinstance(c, list) and len(c) == 2):
             raise DocumentError(f"bad cover entry {c!r}")
         lo, hi = c
+        if not (isinstance(lo, str) and isinstance(hi, str)):
+            raise DocumentError(f"cover endpoints must be element names, got {c!r}")
         if lo not in known or hi not in known:
             raise DocumentError(f"cover {c!r} references unknown elements")
         covers.append((lo, hi))
@@ -95,11 +99,15 @@ def parse_space(data) -> SpaceDocument:
         block = data["sheaf"]
         if not isinstance(block, dict) or set(block) - {"stalks", "maps"}:
             raise DocumentError("'sheaf' must be an object with 'stalks' and 'maps'")
+        for key in ("stalks", "maps"):
+            if not isinstance(block.get(key, {}), dict):
+                raise DocumentError(f"'sheaf.{key}' must be an object")
         stalks = {}
         for name, dim in block.get("stalks", {}).items():
             if name not in known:
                 raise DocumentError(f"stalk for unknown element {name!r}")
-            if not isinstance(dim, int) or dim < 0:
+            # bool is a subclass of int, but true is not a dimension
+            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
                 raise DocumentError(f"bad stalk dimension for {name!r}: {dim!r}")
             stalks[name] = dim
         missing = known - set(stalks)
@@ -130,6 +138,8 @@ def load_space(path) -> SpaceDocument:
         raise DocumentError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON in {path}: {e}")
+    except RecursionError:
+        raise DocumentError(f"JSON in {path} is nested too deeply")
     return parse_space(data)
 
 

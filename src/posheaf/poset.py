@@ -1,9 +1,11 @@
 """Finite posets as validated Hasse diagrams.
 
-Elements are opaque names; the cover relation is the transitive
-reduction of the order.  Posets are immutable after construction and
-every derived poset (downsets, upsets, element removal) is rebuilt and
-revalidated from scratch.
+Elements are opaque, sortable names; the cover relation is the
+transitive reduction of the order.  :func:`build_poset` is the one way
+to make a poset: it validates the covers and computes, once, the cover
+tables and the strict up- and down-closure of every element.  Posets
+are immutable after construction; every derived poset (downsets,
+upsets, element removal) goes through :func:`build_poset` again.
 """
 
 from __future__ import annotations
@@ -38,25 +40,21 @@ ISO_MAX_ELEMENTS = 24
 class Poset:
     """Finite poset given by its Hasse diagram.
 
-    Use :func:`build_poset` to construct one with validation.
+    Construct one with :func:`build_poset`, which validates the input
+    and hands over the cover and closure tables it computed.
     """
 
-    __slots__ = ("elements", "covers", "_above", "_upper", "_lower", "_index")
+    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower", "_index")
 
-    def __init__(self, elements, covers, _validated=False):
-        if not _validated:
-            p = build_poset(elements, covers)
-            elements, covers = p.elements, p.covers
-            self._above = p._above
-            self._upper = p._upper
-            self._lower = p._lower
-        else:
-            self._upper = {e: tuple(sorted(v for (u, v) in covers if u == e)) for e in elements}
-            self._lower = {e: tuple(sorted(u for (u, v) in covers if v == e)) for e in elements}
-            self._above = _strict_above(elements, self._upper)
-        self.elements = tuple(elements)
-        self.covers = frozenset(covers)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+    def __init__(self, elements: tuple, covers: frozenset, upper: dict, lower: dict,
+                 above: dict, below: dict):
+        self.elements = elements
+        self.covers = covers
+        self._upper = upper
+        self._lower = lower
+        self._above = above
+        self._below = below
+        self._index = {e: i for i, e in enumerate(elements)}
 
     # -- queries ------------------------------------------------------
 
@@ -98,7 +96,7 @@ class Poset:
 
     def strictly_below(self, e) -> frozenset:
         self._check(e)
-        return frozenset(u for u in self.elements if e in self._above[u])
+        return self._below[e]
 
     def maximal_elements(self) -> tuple:
         return tuple(e for e in self.elements if not self._upper[e])
@@ -124,28 +122,22 @@ class Poset:
         return tuple(out)
 
 
-def _strict_above(elements, upper) -> dict:
+def _closures(order, upper, lower) -> tuple[dict, dict]:
+    """Strict up- and down-closure of every element, given a
+    topological order and the cover tables."""
     above = {}
-    order = []
-    indeg = {e: 0 for e in elements}
-    for e in elements:
-        for v in upper[e]:
-            indeg[v] += 1
-    stack = [e for e in elements if indeg[e] == 0]
-    while stack:
-        e = stack.pop()
-        order.append(e)
-        for v in upper[e]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                stack.append(v)
     for e in reversed(order):
-        acc = set()
+        acc = set(upper[e])
         for v in upper[e]:
-            acc.add(v)
             acc |= above[v]
         above[e] = frozenset(acc)
-    return above
+    below = {}
+    for e in order:
+        acc = set(lower[e])
+        for u in lower[e]:
+            acc |= below[u]
+        below[e] = frozenset(acc)
+    return above, below
 
 
 def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
@@ -159,42 +151,42 @@ def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
         dupes = sorted({e for e in elements if list(elements).count(e) > 1})
         raise PosetError(f"duplicate element names: {dupes}")
     known = set(elements)
-    covers = {tuple(c) for c in covers}
+    covers = frozenset(tuple(c) for c in covers)
+    upper = {e: [] for e in elements}
+    lower = {e: [] for e in elements}
     for (u, v) in covers:
         if u not in known:
             raise UnknownElementError(f"unknown element in cover: {u!r}")
         if v not in known:
             raise UnknownElementError(f"unknown element in cover: {v!r}")
-    upper = {e: [] for e in elements}
-    for (u, v) in covers:
         upper[u].append(v)
-    # cycle check: Kahn's algorithm
-    indeg = {e: 0 for e in elements}
-    for (u, v) in covers:
-        indeg[v] += 1
+        lower[v].append(u)
+    upper = {e: tuple(sorted(vs)) for e, vs in upper.items()}
+    lower = {e: tuple(sorted(us)) for e, us in lower.items()}
+    # cycle check: Kahn's algorithm, which also yields a topological order
+    indeg = {e: len(lower[e]) for e in elements}
     stack = [e for e in elements if indeg[e] == 0]
-    seen = 0
+    order = []
     while stack:
         e = stack.pop()
-        seen += 1
+        order.append(e)
         for v in upper[e]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 stack.append(v)
-    if seen != len(elements):
+    if len(order) != len(elements):
         cyc = sorted(e for e in elements if indeg[e] > 0)
         raise CycleError(f"cover relation contains a cycle through: {cyc}")
+    above, below = _closures(order, upper, lower)
     # redundancy: (u, v) must not be reachable from u via a path avoiding
     # the direct edge
-    up = {e: tuple(sorted(vs)) for e, vs in upper.items()}
-    above = _strict_above(elements, up)
     for (u, v) in covers:
-        for w in up[u]:
-            if w != v and (v == w or v in above[w]):
+        for w in upper[u]:
+            if w != v and v in above[w]:
                 raise RedundantCoverError(
                     f"cover ({u!r}, {v!r}) is implied by a path through {w!r}"
                 )
-    return Poset(elements, covers, _validated=True)
+    return Poset(elements, covers, upper, lower, above, below)
 
 
 def leq(p: Poset, u, v) -> bool:
@@ -210,10 +202,7 @@ def induced_subposet(p: Poset, keep) -> Poset:
         p._check(e)
     sub = [e for e in p.elements if e in keep]
     above = {e: p._above[e] & keep for e in sub}
-    below: dict = {e: set() for e in sub}
-    for u in sub:
-        for v in above[u]:
-            below[v].add(u)
+    below = {e: p._below[e] & keep for e in sub}
     # (u, v) is an induced cover iff no kept element lies strictly between
     covers = {
         (u, v) for u in sub for v in above[u] if not (above[u] & below[v])

@@ -35,10 +35,11 @@ class Sheaf:
 
     Construction validates shapes only; call :func:`check_commutativity`
     (or build through a constructor in this module) to verify that the
-    diagram commutes.
+    diagram commutes.  A sheaf remembers a successful check, and a
+    restriction of a verified sheaf is verified by construction.
     """
 
-    __slots__ = ("base", "ring", "stalk_dim", "cover_maps", "_canon")
+    __slots__ = ("base", "ring", "stalk_dim", "cover_maps", "_canon", "_verified")
 
     def __init__(self, base: Poset, ring, stalk_dim: Mapping, cover_maps: Mapping):
         if not isinstance(ring, (Rationals, PrimeField)):
@@ -76,6 +77,7 @@ class Sheaf:
             raise SheafError(f"maps for non-covers: {sorted(extra)}")
         self.cover_maps = cm
         self._canon = None
+        self._verified = False
 
     def __eq__(self, other):
         return (
@@ -103,13 +105,19 @@ class Sheaf:
         return self._canonical()[(u, v)]
 
     def _canonical(self) -> dict:
+        """Composite u -> v for every pair u <= v, in one walk over each
+        element's sorted lower covers: the first cover above u wins."""
         if self._canon is None:
+            base = self.base
             canon = {}
-            for v in self.base.linear_extension():
+            for v in base.linear_extension():
                 canon[(v, v)] = Matrix.identity(self.ring, self.stalk_dim[v])
-                for u in self.base.strictly_below(v):
-                    w = min(w for w in self.base.lower_covers(v) if leq(self.base, u, w))
-                    canon[(u, v)] = compose(self.cover_maps[(w, v)], canon[(u, w)])
+                for w in base.lower_covers(v):
+                    # no other lower cover of v lies above w, so w wins here
+                    m = canon[(w, v)] = self.cover_maps[(w, v)]
+                    for u in base.strictly_below(w):
+                        if (u, v) not in canon:
+                            canon[(u, v)] = compose(m, canon[(u, w)])
             self._canon = canon
         return self._canon
 
@@ -158,23 +166,44 @@ class SectionSpace:
 def check_commutativity(f: Sheaf) -> tuple[bool, Optional[CommutativityError]]:
     """Verify path-independence of composite maps.
 
+    Returns (True, None) or (False, error) with the first violating
+    pair.  Success is recorded on the sheaf, so the sweep runs once per
+    sheaf; a failure is not recorded and is found again on every call.
+    """
+    if f._verified:
+        return True, None
+    err = _first_violation(f)
+    if err is not None:
+        return False, err
+    f._verified = True
+    return True, None
+
+
+def _first_violation(f: Sheaf) -> Optional[CommutativityError]:
+    """The full sweep behind :func:`check_commutativity`.
+
     A canonical composite is fixed per comparable pair by a topological
-    sweep; every single-step alternative factoring is compared against
-    it, which by induction covers all cover paths.  Returns (True, None)
-    or (False, error) with the first violating pair.
+    sweep; every other single-step factoring is compared against it,
+    which by induction covers all cover paths.
     """
     canon = f._canonical()
     base = f.base
     for v in base.linear_extension():
+        factors = [(w, f.cover_maps[(w, v)], base.strictly_below(w))
+                   for w in base.lower_covers(v)]
         for u in sorted(base.strictly_below(v)):
             expected = canon[(u, v)]
-            for w in base.lower_covers(v):
-                if not leq(base, u, w):
+            canonical = True  # the first lower cover above u gave `expected`
+            for w, m, below_w in factors:
+                if u != w and u not in below_w:
                     continue
-                got = compose(f.cover_maps[(w, v)], canon[(u, w)])
+                if canonical:
+                    canonical = False
+                    continue
+                got = compose(m, canon[(u, w)])
                 if got != expected:
-                    return False, CommutativityError(u, v, expected, got)
-    return True, None
+                    return CommutativityError(u, v, expected, got)
+    return None
 
 
 def require_commutative(f: Sheaf) -> None:
@@ -250,14 +279,29 @@ def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
     """Sheaved space induced on a subset of elements.
 
     Maps of induced covers are composites along cover paths of the
-    original poset; commutativity makes them well defined.
+    original poset; commutativity makes them well defined, so the sheaf
+    must commute (else :class:`CommutativityError`).  The restriction
+    inherits the parent's composites for kept pairs and is verified.
     """
-    keep = set(keep)
-    sub = induced_subposet(sp.poset, keep)
     f = sp.sheaf
+    require_commutative(f)
+    sub = induced_subposet(sp.poset, keep)
+    parent = f._canonical()
     dims = {e: f.stalk_dim[e] for e in sub.elements}
-    maps = {(u, v): f.restriction(u, v) for (u, v) in sub.covers}
-    return SheavedSpace(sub, Sheaf(sub, f.ring, dims, maps))
+    g = Sheaf(sub, f.ring, dims, {c: parent[c] for c in sub.covers})
+    # the parent's table minus every pair that involves a removed element
+    canon = dict(parent)
+    p = sp.poset
+    for s in p.elements:
+        if s not in sub:
+            del canon[(s, s)]
+            for u in p.strictly_below(s):
+                canon.pop((u, s), None)
+            for v in p.strictly_above(s):
+                canon.pop((s, v), None)
+    g._canon = canon
+    g._verified = True
+    return SheavedSpace(sub, g)
 
 
 def pullback(f_map: Mapping, source: Poset, g: Sheaf) -> Sheaf:

@@ -74,31 +74,32 @@ class SimplificationTrace:
         return sp
 
 
-def find_beats(sp: SheavedSpace) -> list[BeatReport]:
-    """All beat elements, sorted by name.
+def beat_report(sp: SheavedSpace, e) -> Optional[BeatReport]:
+    """The beat report of one element, or None if it is not a beat.
 
     Downbeats need no map condition; upbeats additionally require the
     unique outgoing cover map to be square of full rank.
     """
-    out = []
     p = sp.poset
-    f = sp.sheaf
-    for e in sorted(p.elements):
-        if is_downbeat(p, e):
-            out.append(BeatReport(e, DOWNBEAT, p.lower_covers(e)[0]))
-        elif is_upbeat_poset(p, e):
-            (v,) = p.upper_covers(e)
-            m = f.cover_maps[(e, v)]
-            invertible = m.is_square() and rank(m) == m.rows
-            if invertible:
-                out.append(BeatReport(e, UPBEAT, v, True))
-    return out
+    if is_downbeat(p, e):
+        return BeatReport(e, DOWNBEAT, p.lower_covers(e)[0])
+    if is_upbeat_poset(p, e):
+        (v,) = p.upper_covers(e)
+        m = sp.sheaf.cover_maps[(e, v)]
+        if m.is_square() and rank(m) == m.rows:
+            return BeatReport(e, UPBEAT, v, True)
+    return None
+
+
+def find_beats(sp: SheavedSpace) -> list[BeatReport]:
+    """All beat elements, sorted by name."""
+    reports = (beat_report(sp, e) for e in sorted(sp.poset.elements))
+    return [r for r in reports if r is not None]
 
 
 def collapse_beat(sp: SheavedSpace, v) -> SheavedSpace:
     """Remove a verified beat element, restricting the sheaf."""
-    reports = {r.element: r for r in find_beats(sp)}
-    if v not in reports:
+    if v not in sp.poset or beat_report(sp, v) is None:
         raise SimplifyError(f"{v!r} is not a beat element; refusing to remove it")
     return restrict(sp, set(sp.poset.elements) - {v})
 

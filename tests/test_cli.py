@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gen import random_poset, random_sheaf, random_space
+from posheaf import sheaf as sheaf_module
 from posheaf.cli import main
 from posheaf.cohomology import sheaf_cohomology
 from posheaf.documents import parse_space, space_to_data
@@ -66,7 +67,7 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
 
-    def test_structure_errors(self, tmp_path):
+    def test_structure_errors(self, tmp_path, capsys):
         cases = [
             {"field": "Q", "elements": ["a", "a"], "covers": []},
             {"field": "Q", "elements": ["a"], "covers": [["a", "b"]]},
@@ -75,10 +76,23 @@ class TestValidate:
             {"field": "GF:4", "elements": [], "covers": []},
             {"field": "Q", "elements": ["a b"], "covers": []},
             {"elements": [], "covers": []},
+            {"field": "Q", "elements": ["a"], "covers": {}},
+            {"field": "Q", "elements": ["a", "b"], "covers": [[["x"], "b"]]},
+            dict(two_chain_doc(), sheaf={"stalks": []}),
+            dict(two_chain_doc(), sheaf={"stalks": {"lo": 1, "hi": 1}, "maps": []}),
+            dict(two_chain_doc(), covers=[],
+                 sheaf={"stalks": {"lo": True, "hi": 1}, "maps": {}}),
         ]
         for i, doc in enumerate(cases):
             path = write_doc(tmp_path, doc, name=f"bad{i}.json")
             assert main(["validate", path]) == 2, doc
+            assert "invalid document" in capsys.readouterr().err, doc
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_noncommuting(self, tmp_path, capsys):
         assert main(["validate", write_doc(tmp_path, noncommuting_doc())]) == 3
@@ -102,6 +116,12 @@ class TestCohomology:
         path = write_doc(tmp_path, circle_doc())
         assert main(["cohomology", path, "--max-degree", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["betti"] == [1]
+
+    def test_negative_max_degree_is_usage_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, circle_doc())
+        assert main(["cohomology", path, "--max-degree", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
 
     def test_gf_field(self, tmp_path, capsys):
         assert main(["cohomology", write_doc(tmp_path, circle_doc("GF:2"))]) == 0
@@ -188,6 +208,20 @@ class TestSimplifyAndCore:
             ) == 0
             outs.append(json.loads(capsys.readouterr().out)["trace"])
         assert outs[0] == outs[1]
+
+    def test_commutativity_sweep_runs_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        sweep = sheaf_module._first_violation
+        monkeypatch.setattr(
+            sheaf_module, "_first_violation", lambda f: calls.append(f) or sweep(f)
+        )
+        rng = random.Random(97)
+        p = random_poset(rng, 9)
+        path = write_doc(tmp_path, space_to_data(random_space(rng, p, QQ), "Q"))
+        assert main(["simplify", path, "--strategy", "acyclic-down"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certified"] is True and report["trace"]
+        assert len(calls) == 1
 
     def test_random_spaces_certify(self, tmp_path, capsys):
         rng = random.Random(83)

@@ -12,6 +12,7 @@ from posheaf.poset import (
     UnknownElementError,
     build_poset,
     downset,
+    induced_subposet,
     is_downbeat,
     is_upbeat_poset,
     leq,
@@ -185,6 +186,43 @@ class TestRemove:
             for u in q.elements:
                 for v in q.elements:
                     assert leq(q, u, v) == leq(p, u, v)
+
+
+def reference_strict_order(elements, covers) -> set:
+    """Pairs u < v: Warshall's transitive closure of the cover pairs."""
+    lt = set(covers)
+    for k in elements:
+        lt |= {(u, v) for (u, w) in lt if w == k for (x, v) in lt if x == k}
+    return lt
+
+
+class TestTablesAgainstReference:
+    def check(self, p, lt):
+        for e in p.elements:
+            assert p.strictly_below(e) == {u for (u, v) in lt if v == e}
+            assert p.strictly_above(e) == {v for (u, v) in lt if u == e}
+            assert p.upper_covers(e) == tuple(sorted(v for (u, v) in p.covers if u == e))
+            assert p.lower_covers(e) == tuple(sorted(u for (u, v) in p.covers if v == e))
+
+    def test_random_posets(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            p = random_poset(rng, rng.randint(1, 10))
+            self.check(p, reference_strict_order(p.elements, p.covers))
+
+    def test_random_induced_subposets(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            p = random_poset(rng, rng.randint(1, 10))
+            lt = reference_strict_order(p.elements, p.covers)
+            keep = {e for e in p.elements if rng.random() < 0.6}
+            q = induced_subposet(p, keep)
+            sub_lt = {(u, v) for (u, v) in lt if u in keep and v in keep}
+            assert q.covers == {
+                (u, v) for (u, v) in sub_lt
+                if not any((u, w) in sub_lt and (w, v) in sub_lt for w in keep)
+            }
+            self.check(q, sub_lt)
 
 
 class TestIsomorphism:

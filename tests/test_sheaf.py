@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gen import random_poset, random_sheaf
+from gen import random_poset, random_sheaf, random_space
 from posheaf.exact_linalg import GF, QQ, Matrix, compose
 from posheaf.fixtures import four_point_circle, p5_poset
 from posheaf.poset import build_poset, downset, leq
@@ -31,6 +33,29 @@ def diamond():
         ["bot", "l", "r", "top"],
         [("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")],
     )
+
+
+def noncommuting_diamond():
+    p = diamond()
+    i = Matrix.identity(QQ, 1)
+    neg = Matrix.from_rows(QQ, [[-1]])
+    return Sheaf(
+        p,
+        QQ,
+        {e: 1 for e in p.elements},
+        {("bot", "l"): i, ("bot", "r"): i, ("l", "top"): i, ("r", "top"): neg},
+    )
+
+
+def assert_matches_fresh_copy(sp):
+    """A restriction's inherited composites equal those a fresh copy of
+    the same sheaf computes itself, and that copy commutes."""
+    g = sp.sheaf
+    fresh = Sheaf(sp.poset, g.ring, g.stalk_dim, g.cover_maps)
+    assert g._verified and g._canon is not None
+    assert g._canon == fresh._canonical()
+    ok, err = check_commutativity(fresh)
+    assert ok, err
 
 
 class TestConstruction:
@@ -62,20 +87,19 @@ class TestCommutativity:
         assert ok and err is None
 
     def test_diamond_fails(self):
-        p = diamond()
-        i = Matrix.identity(QQ, 1)
-        neg = Matrix.from_rows(QQ, [[-1]])
-        f = Sheaf(
-            p,
-            QQ,
-            {e: 1 for e in p.elements},
-            {("bot", "l"): i, ("bot", "r"): i, ("l", "top"): i, ("r", "top"): neg},
-        )
+        f = noncommuting_diamond()
         ok, err = check_commutativity(f)
         assert not ok
         assert err.lower == "bot" and err.upper == "top"
         with pytest.raises(CommutativityError):
             require_commutative(f)
+
+    def test_failed_check_is_not_cached(self):
+        f = noncommuting_diamond()
+        assert check_commutativity(f)[0] is False
+        ok, err = check_commutativity(f)
+        assert not ok and (err.lower, err.upper) == ("bot", "top")
+        assert not f._verified
 
     def test_tree_always_commutes(self):
         # a poset whose intervals all have a single factoring cannot fail
@@ -189,6 +213,11 @@ class TestRestrictPullback:
         sub = restrict(SheavedSpace(p, f), ["a", "c"])
         assert sub.sheaf.cover_maps[("a", "c")] == Matrix.from_rows(QQ, [[10]])
 
+    def test_restrict_noncommuting_raises(self):
+        f = noncommuting_diamond()
+        with pytest.raises(CommutativityError):
+            restrict(SheavedSpace(f.base, f), ["bot", "top"])
+
     def test_pullback_along_identity(self):
         p = diamond()
         g = constant_sheaf(p, QQ, 2)
@@ -220,6 +249,44 @@ class TestRestrictPullback:
             f = pullback({e: e for e in p.elements}, p, g)
             ok, _ = check_commutativity(f)
             assert ok
+
+
+class TestInheritedComposites:
+    """Restrictions take their composites from the parent; the slow
+    reference is a fresh sheaf that computes its own."""
+
+    def test_random_keep_sets(self):
+        rng = random.Random(101)
+        for ring in (QQ, GF(7)):
+            for _ in range(25):
+                sp = random_space(rng, random_poset(rng, rng.randint(1, 9)), ring)
+                keep = [e for e in sp.poset.elements if rng.random() < 0.6]
+                assert_matches_fresh_copy(restrict(sp, keep))
+
+    def test_chains_of_restrictions(self):
+        rng = random.Random(103)
+        for ring in (QQ, GF(5)):
+            for _ in range(10):
+                sp = random_space(rng, random_poset(rng, rng.randint(2, 10)), ring)
+                while len(sp.poset):
+                    k = min(len(sp.poset), rng.randint(1, 2))
+                    drop = set(rng.sample(sp.poset.elements, k))
+                    sp = restrict(sp, set(sp.poset.elements) - drop)
+                    assert_matches_fresh_copy(sp)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    ring=st.sampled_from([QQ, GF(2), GF(7)]),
+    masks=st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_inherited_composites_match_fresh_copy(seed, ring, masks):
+    rng = random.Random(seed)
+    sp = random_space(rng, random_poset(rng, rng.randint(1, 10)), ring)
+    for mask in masks:
+        sp = restrict(sp, [e for i, e in enumerate(sp.poset.elements) if mask >> i & 1])
+        assert_matches_fresh_copy(sp)
 
 
 class TestGlobalSections:

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from gen import random_poset, random_sheaf
+from gen import random_poset, random_sheaf, random_space
+from posheaf import sheaf as sheaf_module
 from posheaf.cohomology import sheaf_cohomology
+from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.fixtures import circle_with_apex, four_point_circle, p5_gadget
 from posheaf.poset import build_poset, posets_isomorphic
-from posheaf.sheaf import Sheaf, SheavedSpace, constant_sheaf
+from posheaf.sheaf import Sheaf, SheavedSpace, check_commutativity, constant_sheaf
 from posheaf.simplify import (
     ACYCLIC_DOWNSET,
     DOWNBEAT,
@@ -229,3 +231,28 @@ class TestPipeline:
         a, ta = simplify_pipeline(sp, strategy="acyclic-down", rng=random.Random(9))
         b, tb = simplify_pipeline(sp, strategy="acyclic-down", rng=random.Random(9))
         assert a == b and ta.steps == tb.steps
+
+
+def test_checked_space_needs_no_new_composites(monkeypatch):
+    """Restrictions inherit the composites of a checked space, so the
+    pipeline and the cohomology of its result compose nothing in sheaf.py."""
+    rng = random.Random(107)
+    spaces = []
+    for _ in range(12):
+        ring, tag = rng.choice([(QQ, "Q"), (GF(7), "GF:7")])
+        sp = random_space(rng, random_poset(rng, rng.randint(3, 9)), ring)
+        sp = document_space(parse_space(space_to_data(sp, tag)))
+        assert check_commutativity(sp.sheaf)[0]
+        spaces.append(sp)
+    calls = []
+    compose = sheaf_module.compose
+    monkeypatch.setattr(
+        sheaf_module, "compose", lambda a, b: calls.append(1) or compose(a, b)
+    )
+    removed = 0
+    for sp in spaces:
+        reduced, trace = simplify_pipeline(sp, "acyclic-down")
+        sheaf_cohomology(reduced)
+        removed += len(trace.steps)
+    assert removed > 0
+    assert calls == []
