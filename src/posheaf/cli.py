@@ -182,8 +182,7 @@ def _simplify_common(args, strategy: str) -> int:
     except SimplifyError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    after_doc_space = result
-    after = _cohomology_for_certification(doc, after_doc_space)
+    after = _cohomology_for_certification(doc, result)
     certified = before.same_groups(after)
     report = {
         "generator": _generator(strategy),
@@ -215,9 +214,7 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_core(args) -> int:
-    args.seed = None
-    code = _simplify_common(args, STRATEGY_BEATS)
-    return code
+    return _simplify_common(args, STRATEGY_BEATS)
 
 
 def _generator(strategy: str = None) -> dict:

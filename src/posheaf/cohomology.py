@@ -72,13 +72,6 @@ class ChainComplex:
             if (b.rows, b.cols) != (prev, self.degrees[jj]):
                 raise ComplexError(f"boundary {jj} has wrong shape")
 
-    def boundary(self, j: int):
-        """The map out of C_j, or None outside the range."""
-        lo = 0 if self.reduced else 1
-        if j < lo or j - lo >= len(self.boundaries):
-            return None
-        return self.boundaries[j - lo]
-
     def check_d_squared(self) -> None:
         lo = 0 if self.reduced else 1
         for j in range(len(self.boundaries) - 1):

@@ -21,6 +21,9 @@ from .sheaf import Sheaf, SheavedSpace, SheafError, constant_sheaf
 
 MAP_KEY_SEP = "->"
 _NAME_RE = re.compile(r"^[^\s]+$")
+# an optional sign, digits, optionally "/digits": Fraction would also
+# take exponents ("1e999999"), decimals and whitespace
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class DocumentError(Exception):
@@ -114,17 +117,18 @@ def parse_space(data) -> SpaceDocument:
         if missing:
             raise DocumentError(f"missing stalk dimensions: {sorted(missing)}")
         maps = {}
+        cover_set = set(covers)
         for key, rows in block.get("maps", {}).items():
             parts = key.split(MAP_KEY_SEP)
             if len(parts) != 2:
                 raise DocumentError(f"bad map key {key!r}")
             cov = (parts[0], parts[1])
-            if cov not in set(covers):
+            if cov not in cover_set:
                 raise DocumentError(f"map key {key!r} is not a cover")
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise DocumentError(f"map {key!r} must be a list of rows")
             maps[cov] = rows
-        missing_maps = set(covers) - set(maps)
+        missing_maps = cover_set - set(maps)
         if missing_maps:
             raise DocumentError(f"missing maps for covers: {sorted(missing_maps)}")
     return SpaceDocument(data["field"], tuple(elements), tuple(covers), stalks, maps)
@@ -146,9 +150,11 @@ def load_space(path) -> SpaceDocument:
 def _parse_scalar(s, ring):
     if not isinstance(s, str):
         raise DocumentError(f"scalar entries must be strings, got {s!r}")
+    if not _SCALAR_RE.fullmatch(s):
+        raise DocumentError(f"bad scalar {s!r}: want an integer or a fraction like '-1/2'")
     try:
         value = Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # "1/0"; more digits than int() takes
         raise DocumentError(f"bad scalar {s!r}")
     try:
         return ring.coerce(value)
@@ -188,10 +194,6 @@ def document_space(doc: SpaceDocument) -> SheavedSpace:
         raise DocumentError(str(e))
 
 
-def _scalar_str(x) -> str:
-    return str(x)
-
-
 def space_to_data(sp: SheavedSpace, field_tag: str, generator: Optional[dict] = None) -> dict:
     """Serialize a sheaved space canonically (sorted covers and keys)."""
     f = sp.sheaf
@@ -204,7 +206,7 @@ def space_to_data(sp: SheavedSpace, field_tag: str, generator: Optional[dict] = 
             "stalks": {e: f.stalk_dim[e] for e in sorted(sp.poset.elements)},
             "maps": {
                 f"{u}{MAP_KEY_SEP}{v}": [
-                    [_scalar_str(x) for x in row] for row in f.cover_maps[(u, v)].entries
+                    [str(x) for x in row] for row in f.cover_maps[(u, v)].entries
                 ]
                 for (u, v) in sorted(sp.poset.covers)
             },

@@ -101,9 +101,6 @@ class Poset:
     def maximal_elements(self) -> tuple:
         return tuple(e for e in self.elements if not self._upper[e])
 
-    def minimal_elements(self) -> tuple:
-        return tuple(e for e in self.elements if not self._lower[e])
-
     def linear_extension(self) -> tuple:
         """Elements sorted compatibly with the order (ties by name)."""
         indeg = {e: len(self._lower[e]) for e in self.elements}

@@ -1,10 +1,11 @@
 """Cohomology-preserving removals: beats, cores, acyclic down/upsets.
 
-Beat collapses follow the classical order-theoretic notion, with the
-sheaf-side requirement that an upbeat's unique outgoing restriction map
-is an isomorphism.  The acyclic-downset rule removes any element whose
-strict downset has the integral homology of a point; the up/down
-variant applies to constant coefficients only.
+Each rule is one row of `RULES`.  Beat collapses follow the classical
+order-theoretic notion, with the sheaf-side requirement that an
+upbeat's unique outgoing restriction map is an isomorphism.  The
+acyclic-downset rule removes any element whose strict downset has the
+integral homology of a point; the up/down variant applies to constant
+coefficients only.
 """
 
 from __future__ import annotations
@@ -28,18 +29,54 @@ UPBEAT = "upbeat"
 ACYCLIC_DOWNSET = "acyclic-downset"
 ACYCLIC_UPSET = "acyclic-upset"
 
+
+def _acyclic(p: Poset) -> bool:
+    return is_acyclic(order_complex(p))
+
+
+def _is_upbeat(sp: SheavedSpace, e) -> bool:
+    """A unique upper cover, reached by a square map of full rank."""
+    if not is_upbeat_poset(sp.poset, e):
+        return False
+    m = sp.sheaf.cover_maps[(e, sp.poset.upper_covers(e)[0])]
+    return m.is_square() and rank(m) == m.rows
+
+
+def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:
+    """True iff the strict downset of s has acyclic order complex."""
+    return _acyclic(downset(sp.poset, s))
+
+
+def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
+    """Down- or upset acyclicity; valid for constant coefficients only."""
+    return _acyclic(downset(p, s)) or _acyclic(upset(p, s))
+
+
+# rule -> (predicate on a space and an element, valid for constant sheaves only)
+RULES = {
+    DOWNBEAT: (lambda sp, e: is_downbeat(sp.poset, e), False),
+    UPBEAT: (_is_upbeat, False),
+    ACYCLIC_DOWNSET: (removable_by_acyclic_downset, False),
+    ACYCLIC_UPSET: (lambda sp, e: _acyclic(upset(sp.poset, e)), True),
+}
+BEATS = (DOWNBEAT, UPBEAT)
+
 STRATEGY_BEATS = "beats"
 STRATEGY_ACYCLIC_DOWN = "acyclic-down"
 STRATEGY_CONSTANT_UPDOWN = "constant-updown"
-STRATEGIES = (STRATEGY_BEATS, STRATEGY_ACYCLIC_DOWN, STRATEGY_CONSTANT_UPDOWN)
+# strategy -> the rules of the pass it makes whenever no beat is left
+STRATEGY_RULES = {
+    STRATEGY_BEATS: (),
+    STRATEGY_ACYCLIC_DOWN: (ACYCLIC_DOWNSET,),
+    STRATEGY_CONSTANT_UPDOWN: (ACYCLIC_DOWNSET, ACYCLIC_UPSET),
+}
+STRATEGIES = tuple(STRATEGY_RULES)
 
 
 @dataclass(frozen=True)
 class BeatReport:
     element: object
     kind: str  # DOWNBEAT or UPBEAT
-    witness: object  # the unique lower (down) or upper (up) cover
-    map_invertible: Optional[bool] = None  # upbeats only
 
 
 @dataclass(frozen=True)
@@ -55,53 +92,81 @@ class SimplificationTrace:
     final: SheavedSpace
 
     def replay(self) -> SheavedSpace:
-        """Re-run every removal from the initial space, re-checking each
-        rule's precondition; returns the reconstructed final space."""
+        """Re-run every removal from the initial space, re-checking the
+        recorded rule and its validity; returns the final space.  A
+        restriction of a constant sheaf is constant: check that once."""
         sp = self.initial
+        constant = is_constant(sp.sheaf)
         for step in self.steps:
-            if step.rule in (DOWNBEAT, UPBEAT):
-                sp = collapse_beat(sp, step.removed)
-            elif step.rule == ACYCLIC_DOWNSET:
-                sp = remove_acyclic_downset(sp, step.removed)
-            elif step.rule == ACYCLIC_UPSET:
-                if not removable_by_acyclic_upset_constant(sp.poset, step.removed):
-                    raise SimplifyError(
-                        f"trace step {step} fails its removability predicate"
-                    )
-                sp = restrict(sp, set(sp.poset.elements) - {step.removed})
-            else:
-                raise SimplifyError(f"unknown rule {step.rule!r}")
+            sp = _checked_removal(sp, step.removed, (step.rule,), constant)
         return sp
 
 
-def beat_report(sp: SheavedSpace, e) -> Optional[BeatReport]:
-    """The beat report of one element, or None if it is not a beat.
+def _without(sp: SheavedSpace, e) -> SheavedSpace:
+    return restrict(sp, set(sp.poset.elements) - {e})
 
-    Downbeats need no map condition; upbeats additionally require the
-    unique outgoing cover map to be square of full rank.
-    """
-    p = sp.poset
-    if is_downbeat(p, e):
-        return BeatReport(e, DOWNBEAT, p.lower_covers(e)[0])
-    if is_upbeat_poset(p, e):
-        (v,) = p.upper_covers(e)
-        m = sp.sheaf.cover_maps[(e, v)]
-        if m.is_square() and rank(m) == m.rows:
-            return BeatReport(e, UPBEAT, v, True)
+
+def _first_rule(sp: SheavedSpace, e, rules) -> Optional[str]:
+    for r in rules:
+        if RULES[r][0](sp, e):
+            return r
     return None
+
+
+def _checked_removal(sp: SheavedSpace, e, rules, constant: bool = False) -> SheavedSpace:
+    """Remove e if one of `rules` holds there; `constant` says whether
+    the sheaf is constant, which constant-only rules require."""
+    for r in rules:
+        if r not in RULES:
+            raise SimplifyError(f"unknown rule {r!r}")
+        if RULES[r][1] and not constant:
+            raise SimplifyError(f"rule {r!r} requires a constant sheaf")
+    if e not in sp.poset:
+        raise SimplifyError(f"{e!r} is not an element; refusing to remove it")
+    if _first_rule(sp, e, rules) is None:
+        raise SimplifyError(f"{e!r} fails {' and '.join(rules)}; refusing to remove it")
+    return _without(sp, e)
 
 
 def find_beats(sp: SheavedSpace) -> list[BeatReport]:
     """All beat elements, sorted by name."""
-    reports = (beat_report(sp, e) for e in sorted(sp.poset.elements))
-    return [r for r in reports if r is not None]
+    kinds = ((e, _first_rule(sp, e, BEATS)) for e in sorted(sp.poset.elements))
+    return [BeatReport(e, k) for e, k in kinds if k is not None]
 
 
 def collapse_beat(sp: SheavedSpace, v) -> SheavedSpace:
     """Remove a verified beat element, restricting the sheaf."""
-    if v not in sp.poset or beat_report(sp, v) is None:
-        raise SimplifyError(f"{v!r} is not a beat element; refusing to remove it")
-    return restrict(sp, set(sp.poset.elements) - {v})
+    return _checked_removal(sp, v, BEATS)
+
+
+def remove_acyclic_downset(sp: SheavedSpace, s) -> SheavedSpace:
+    return _checked_removal(sp, s, (ACYCLIC_DOWNSET,))
+
+
+def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationTrace]:
+    """Beats one at a time (lowest name first, or random with `rng`); when
+    none is left, one pass over the elements (shuffled with `rng`) trying
+    `rules` in table order, then beats again.  No predicate runs twice."""
+    out, steps = sp, []
+    while True:
+        beats = find_beats(out)
+        if beats:
+            b = rng.choice(beats) if rng is not None else beats[0]
+            out = _without(out, b.element)
+            steps.append(TraceStep(b.element, b.kind))
+            continue
+        candidates = sorted(out.poset.elements) if rules else []
+        if rng is not None:
+            rng.shuffle(candidates)
+        before = len(steps)
+        for e in candidates:
+            rule = _first_rule(out, e, rules)
+            if rule is not None:
+                out = _without(out, e)
+                steps.append(TraceStep(e, rule))
+        if len(steps) == before:
+            break
+    return out, SimplificationTrace(tuple(steps), sp, out)
 
 
 def core(sp: SheavedSpace, rng: Optional[random.Random] = None) -> tuple[SheavedSpace, SimplificationTrace]:
@@ -111,36 +176,7 @@ def core(sp: SheavedSpace, rng: Optional[random.Random] = None) -> tuple[Sheaved
     in which case each step removes a uniformly random beat; any order
     reaches an isomorphic core.
     """
-    initial = sp
-    steps = []
-    while True:
-        beats = find_beats(sp)
-        if not beats:
-            break
-        r = rng.choice(beats) if rng is not None else beats[0]
-        sp = restrict(sp, set(sp.poset.elements) - {r.element})
-        steps.append(TraceStep(r.element, r.kind))
-    return sp, SimplificationTrace(tuple(steps), initial, sp)
-
-
-def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:
-    """True iff the strict downset of s has acyclic order complex."""
-    return is_acyclic(order_complex(downset(sp.poset, s)))
-
-
-def remove_acyclic_downset(sp: SheavedSpace, s) -> SheavedSpace:
-    if not removable_by_acyclic_downset(sp, s):
-        raise SimplifyError(
-            f"downset of {s!r} is not acyclic; refusing to remove it"
-        )
-    return restrict(sp, set(sp.poset.elements) - {s})
-
-
-def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
-    """Down- or upset acyclicity; valid for constant coefficients only."""
-    p._check(s)
-    return is_acyclic(order_complex(downset(p, s))) or \
-        is_acyclic(order_complex(upset(p, s)))
+    return _greedy(sp, (), rng)
 
 
 def simplify_pipeline(
@@ -148,47 +184,16 @@ def simplify_pipeline(
     strategy: str = STRATEGY_BEATS,
     rng: Optional[random.Random] = None,
 ) -> tuple[SheavedSpace, SimplificationTrace]:
-    """Greedy removal loop, cheapest rule first.
-
-    Strategies: `beats` collapses beats only; `acyclic-down` adds the
-    acyclic-downset rule (any sheaf); `constant-updown` adds both the
-    acyclic-downset and acyclic-upset rules and requires a constant
-    sheaf.  The emitted trace is re-verified by replay before returning.
+    """Greedy removal loop: beats first, then the strategy's pass rules
+    (see STRATEGY_RULES); `constant-updown` requires a constant sheaf.
+    The emitted trace is re-verified by replay before returning.
     """
-    if strategy not in STRATEGIES:
+    if strategy not in STRATEGY_RULES:
         raise SimplifyError(f"unknown strategy {strategy!r}")
-    if strategy == STRATEGY_CONSTANT_UPDOWN and not is_constant(sp.sheaf):
-        raise SimplifyError("constant-updown strategy requires a constant sheaf")
-    initial = sp
-    steps = []
-    while True:
-        beats = find_beats(sp)
-        if beats:
-            r = rng.choice(beats) if rng is not None else beats[0]
-            sp = restrict(sp, set(sp.poset.elements) - {r.element})
-            steps.append(TraceStep(r.element, r.kind))
-            continue
-        if strategy == STRATEGY_BEATS:
-            break
-        # one full pass of acyclic removals before beats are retried;
-        # eligibility is re-checked against the shrinking space as we go
-        candidates = sorted(sp.poset.elements)
-        if rng is not None:
-            rng.shuffle(candidates)
-        removed = False
-        for s in candidates:
-            if is_acyclic(order_complex(downset(sp.poset, s))):
-                sp = restrict(sp, set(sp.poset.elements) - {s})
-                steps.append(TraceStep(s, ACYCLIC_DOWNSET))
-                removed = True
-            elif strategy == STRATEGY_CONSTANT_UPDOWN and \
-                    is_acyclic(order_complex(upset(sp.poset, s))):
-                sp = restrict(sp, set(sp.poset.elements) - {s})
-                steps.append(TraceStep(s, ACYCLIC_UPSET))
-                removed = True
-        if not removed:
-            break
-    trace = SimplificationTrace(tuple(steps), initial, sp)
-    if trace.replay() != sp:
+    rules = STRATEGY_RULES[strategy]
+    if any(RULES[r][1] for r in rules) and not is_constant(sp.sheaf):
+        raise SimplifyError(f"{strategy} strategy requires a constant sheaf")
+    out, trace = _greedy(sp, rules, rng)
+    if trace.replay() != out:
         raise SimplifyError("trace verification failed to reproduce the result")
-    return sp, trace
+    return out, trace

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import random_poset, random_sheaf, random_space
 from posheaf import sheaf as sheaf_module
@@ -36,6 +38,15 @@ def two_chain_doc():
             "maps": {"lo->hi": [["1/2"]]},
         },
     }
+
+
+def circle_sheaf_doc(scalars):
+    """The four-point circle with rank-1 stalks and the given map scalars."""
+    keys = ["a->x", "a->y", "b->x", "b->y"]
+    return dict(circle_doc(), sheaf={
+        "stalks": {e: 1 for e in circle_doc()["elements"]},
+        "maps": {k: [[x]] for k, x in zip(keys, scalars)},
+    })
 
 
 def noncommuting_doc():
@@ -82,6 +93,10 @@ class TestValidate:
             dict(two_chain_doc(), sheaf={"stalks": {"lo": 1, "hi": 1}, "maps": []}),
             dict(two_chain_doc(), covers=[],
                  sheaf={"stalks": {"lo": True, "hi": 1}, "maps": {}}),
+            # Fraction would expand the exponents
+            dict(two_chain_doc(), sheaf={"stalks": {"lo": 1, "hi": 1},
+                                         "maps": {"lo->hi": [["1e999999"]]}}),
+            circle_sheaf_doc(["1", "1e5000", "1", "1"]),
         ]
         for i, doc in enumerate(cases):
             path = write_doc(tmp_path, doc, name=f"bad{i}.json")
@@ -244,3 +259,43 @@ class TestRoundTrip:
             assert main(["cohomology", path]) == 0
             report = json.loads(capsys.readouterr().out)
             assert report["betti"] == list(sheaf_cohomology(sp).betti_trimmed())
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1e5000", "1e999999", "1/0", "0.5", "-1/2", " 1", "1_0", "", 2, None, []]),
+)
+NAMES = st.sampled_from(["a", "b", "c", "", "a b", "a->b", 1, None])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+DOCUMENTS = st.one_of(
+    JSON,
+    st.lists(SCALARS, min_size=4, max_size=4).map(circle_sheaf_doc),
+    st.fixed_dictionaries(
+        {
+            "field": st.sampled_from(["Q", "GF:7", "Z", "GF:4", "R", 7, None]),
+            "elements": st.lists(NAMES, max_size=4),
+            "covers": st.lists(st.lists(NAMES, max_size=3) | JSON, max_size=4),
+        },
+        optional={"sheaf": JSON | st.fixed_dictionaries({
+            "stalks": st.dictionaries(NAMES.filter(lambda n: isinstance(n, str)),
+                                      st.integers(-1, 2) | st.sampled_from([True, "1"])),
+            "maps": st.dictionaries(st.sampled_from(["a->b", "b->c", "a->c", "a", "a->b->c"]),
+                                    st.lists(st.lists(SCALARS, max_size=2), max_size=2)),
+        })},
+    ),
+)
+COMMANDS = [["validate"], ["cohomology"], ["homology"], ["core"]] + [
+    ["simplify", "--strategy", s] for s in ("beats", "acyclic-down", "constant-updown")
+]
+
+
+@given(DOCUMENTS)
+@settings(max_examples=150, deadline=None)
+def test_hostile_documents_exit_with_documented_codes(tmp_path_factory, data):
+    path = write_doc(tmp_path_factory.getbasetemp(), data, name="fuzz.json")
+    for command in COMMANDS:
+        assert main([command[0], path, *command[1:]]) in {0, 1, 2, 3, 4}, command

@@ -12,9 +12,15 @@ from posheaf.poset import build_poset, posets_isomorphic
 from posheaf.sheaf import Sheaf, SheavedSpace, check_commutativity, constant_sheaf
 from posheaf.simplify import (
     ACYCLIC_DOWNSET,
+    BEATS,
     DOWNBEAT,
+    RULES,
+    STRATEGIES,
+    STRATEGY_RULES,
     UPBEAT,
+    SimplificationTrace,
     SimplifyError,
+    TraceStep,
     collapse_beat,
     core,
     find_beats,
@@ -27,6 +33,21 @@ from posheaf.simplify import (
 
 def const_space(p, ring=QQ, r=1):
     return SheavedSpace(p, constant_sheaf(p, ring, r))
+
+
+def zigzag_poset(dual=False):
+    """A beat-free poset in which the strict downset of s (its upset if
+    `dual`) is a zigzag path, which is contractible: x duplicates s's
+    covers and y ties the path ends together, so every element has
+    branching above and below."""
+    covers = [
+        ("m1", "t1"), ("m2", "t1"), ("m2", "t2"), ("m3", "t2"),
+        ("t1", "s"), ("t2", "s"), ("t1", "x"), ("t2", "x"),
+        ("m1", "y"), ("m3", "y"),
+    ]
+    if dual:
+        covers = [(v, u) for u, v in covers]
+    return build_poset(["m1", "m2", "m3", "t1", "t2", "s", "x", "y"], covers)
 
 
 class TestFindBeats:
@@ -187,18 +208,7 @@ class TestPipeline:
         assert len(out.poset) == 1
 
     def test_acyclic_down_fires_when_no_beats_exist(self):
-        # a beat-free poset in which the strict downset of s is a zigzag
-        # path (contractible): x duplicates s's covers and y ties the path
-        # ends together, so every element has branching above and below
-        p = build_poset(
-            ["m1", "m2", "m3", "t1", "t2", "s", "x", "y"],
-            [
-                ("m1", "t1"), ("m2", "t1"), ("m2", "t2"), ("m3", "t2"),
-                ("t1", "s"), ("t2", "s"), ("t1", "x"), ("t2", "x"),
-                ("m1", "y"), ("m3", "y"),
-            ],
-        )
-        sp = const_space(p)
+        sp = const_space(zigzag_poset())
         assert find_beats(sp) == []
         out, trace = simplify_pipeline(sp, strategy="acyclic-down")
         assert len(out.poset) < len(sp.poset)
@@ -231,6 +241,55 @@ class TestPipeline:
         a, ta = simplify_pipeline(sp, strategy="acyclic-down", rng=random.Random(9))
         b, tb = simplify_pipeline(sp, strategy="acyclic-down", rng=random.Random(9))
         assert a == b and ta.steps == tb.steps
+
+
+class TestRuleTable:
+    def test_every_rule_is_reached_by_a_strategy(self):
+        assert set(BEATS).union(*STRATEGY_RULES.values()) == set(RULES)
+        chain = build_poset(["a", "b"], [("a", "b")])
+        seen = set()
+        for p in (chain, zigzag_poset(), zigzag_poset(dual=True)):
+            for strategy in STRATEGIES:
+                _, trace = simplify_pipeline(const_space(p), strategy)
+                seen |= {s.rule for s in trace.steps}
+        assert seen == set(RULES)
+
+    def test_core_is_the_beats_strategy(self):
+        rng = random.Random(113)
+        for k in range(30):
+            p = random_poset(rng, rng.randint(1, 9))
+            sp = random_space(rng, p, rng.choice([QQ, GF(3)]))
+            _, by_core = core(sp, rng=random.Random(k))
+            _, by_pipeline = simplify_pipeline(sp, "beats", rng=random.Random(k))
+            assert by_core.steps == by_pipeline.steps
+            assert core(sp)[1].steps == simplify_pipeline(sp, "beats")[1].steps
+
+
+def _zero_map_space():
+    """a, b < c over Q with stalks 0, 2, 0: H^0 has dimension 2, and
+    removing b by the constant-only up/down rule would lose it."""
+    p = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    maps = {("a", "c"): Matrix(QQ, 0, 0, []), ("b", "c"): Matrix(QQ, 0, 2, [])}
+    return SheavedSpace(p, Sheaf(p, QQ, {"a": 0, "b": 2, "c": 0}, maps))
+
+
+@pytest.mark.parametrize(
+    "space, step",
+    [
+        (_zero_map_space, TraceStep("b", "acyclic-upset")),
+        # b is a downbeat only: it has no upper cover
+        (lambda: const_space(build_poset(["a", "b"], [("a", "b")])), TraceStep("b", UPBEAT)),
+        (lambda: const_space(circle_with_apex()), TraceStep("s", ACYCLIC_DOWNSET)),
+        (lambda: const_space(p5_gadget()), TraceStep("nope", DOWNBEAT)),
+        (lambda: const_space(p5_gadget()), TraceStep("s", "weak-point")),
+    ],
+    ids=["constant-only-rule", "wrong-beat-kind", "downset-not-acyclic",
+         "missing-element", "unknown-rule"],
+)
+def test_replay_refuses_invalid_step(space, step):
+    sp = space()
+    with pytest.raises(SimplifyError):
+        SimplificationTrace((step,), sp, sp).replay()
 
 
 def test_checked_space_needs_no_new_composites(monkeypatch):
