@@ -31,15 +31,14 @@ from .sheaf import (
     strict_down_sheaf,
 )
 from .cohomology import (
-    ChainComplex,
     CochainComplex,
     HomologyResult,
     field_cohomology,
-    integral_reduced_homology,
+    integral_homology,
     is_acyclic,
     roos_complex,
     sheaf_cohomology,
-    simplicial_chain_complex,
+    simplicial_cochain_complex,
 )
 from .simplify import (
     BeatReport,

@@ -1,9 +1,9 @@
 """Cochain complexes and exact (co)homology.
 
 Builds the Roos complex of a sheaved space (degree-j chains contribute
-the stalk at the chain's top element) and simplicial chain complexes of
-order complexes; cohomology over a field comes from exact ranks,
-integral homology from Smith normal forms.
+the stalk at the chain's top element) and simplicial cochain complexes
+of order complexes; cohomology over a field comes from exact ranks,
+integral homology from Smith normal forms of the coboundaries.
 
 Sign convention: the vertices of every chain are listed in poset order
 and the i-th face carries sign (-1)^i.  In the Roos differential only
@@ -53,42 +53,12 @@ class CochainComplex:
         return f"CochainComplex(degrees={self.degrees})"
 
 
-class ChainComplex:
-    """Homologically graded complex: boundaries[j] : C_j -> C_{j-1}.
-
-    With `reduced` set, boundaries[0] is the augmentation C_0 -> R.
-    """
-
-    __slots__ = ("degrees", "boundaries", "reduced")
-
-    def __init__(self, degrees, boundaries, reduced=False):
-        self.degrees = tuple(degrees)
-        self.boundaries = tuple(boundaries)
-        self.reduced = reduced
-        lo = 0 if reduced else 1
-        for j, b in enumerate(self.boundaries):
-            jj = j + lo
-            prev = self.degrees[jj - 1] if jj >= 1 else 1
-            if (b.rows, b.cols) != (prev, self.degrees[jj]):
-                raise ComplexError(f"boundary {jj} has wrong shape")
-
-    def check_d_squared(self) -> None:
-        lo = 0 if self.reduced else 1
-        for j in range(len(self.boundaries) - 1):
-            if not compose(self.boundaries[j], self.boundaries[j + 1]).is_zero():
-                raise ComplexError(f"boundary composition at degree {j + lo + 1} nonzero")
-
-    def __repr__(self):
-        return f"ChainComplex(degrees={self.degrees}, reduced={self.reduced})"
-
-
 @dataclass(frozen=True)
 class HomologyResult:
     """Per-degree Betti numbers, plus torsion coefficients over Z."""
 
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...] = ()
-    reduced: bool = False
 
     def betti_trimmed(self) -> tuple[int, ...]:
         b = list(self.betti)
@@ -161,16 +131,19 @@ def roos_complex(sp: SheavedSpace) -> CochainComplex:
     return CochainComplex(degrees, diffs)
 
 
+def _betti(degrees, ranks) -> tuple[int, ...]:
+    """b_j = dim C^j - rank d_{j-1} - rank d_j, from the rank of every d_j."""
+    return tuple(
+        dim - (ranks[j - 1] if j else 0) - (ranks[j] if j < len(ranks) else 0)
+        for j, dim in enumerate(degrees)
+    )
+
+
 def field_cohomology(c: CochainComplex) -> HomologyResult:
     """Betti numbers of a field-coefficient cochain complex."""
     c.check_d_squared()
-    ranks = [rank(d) for d in c.differentials]
-    betti = []
-    for j, dim in enumerate(c.degrees):
-        r_out = ranks[j] if j < len(ranks) else 0
-        r_in = ranks[j - 1] if j >= 1 else 0
-        betti.append(dim - r_out - r_in)
-    return HomologyResult(tuple(betti), tuple(() for _ in betti), reduced=False)
+    betti = _betti(c.degrees, [rank(d) for d in c.differentials])
+    return HomologyResult(betti, ((),) * len(betti))
 
 
 def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
@@ -178,66 +151,43 @@ def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
     return field_cohomology(roos_complex(sp))
 
 
-def simplicial_chain_complex(k: OrderComplex, ring, reduced: bool = False) -> ChainComplex:
-    """Constant-coefficient simplicial chain complex of an order complex.
+def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:
+    """Constant-coefficient simplicial cochain complex of an order complex.
 
-    Boundary signs alternate over the poset-ordered vertex sequence of
-    each chain.  With `reduced`, the augmentation (all-ones row on
-    vertices) is included as the boundary out of degree 0.
+    Row tau of d_j sends the face of tau that drops its i-th vertex (in
+    poset order) to (-1)^i, so d_j is the transpose of the boundary out
+    of degree j+1 and both compute the same Betti numbers over a field.
     """
     degrees = k.counts()
-    index = [{chain: i for i, chain in enumerate(level)} for level in k.simplices]
-    boundaries = []
-    if reduced and degrees:
-        boundaries.append(Matrix(ring, 1, degrees[0], [[1] * degrees[0]]))
-    for j in range(1, len(degrees)):
-        rows = [{} for _ in range(degrees[j - 1])]
-        for col, chain in enumerate(k.simplices[j]):
-            for i in range(len(chain)):
-                face = chain[:i] + chain[i + 1:]
-                rows[index[j - 1][face]][col] = -1 if i % 2 else 1
-        boundaries.append(Matrix.from_sparse(ring, degrees[j - 1], degrees[j], rows))
-    return ChainComplex(degrees, boundaries, reduced=reduced)
-
-
-def chain_homology_field(c: ChainComplex) -> HomologyResult:
-    """Betti numbers of a field-coefficient chain complex."""
-    c.check_d_squared()
-    lo = 0 if c.reduced else 1
-    ranks = {j + lo: rank(b) for j, b in enumerate(c.boundaries)}
-    betti = []
-    for j, dim in enumerate(c.degrees):
-        betti.append(dim - ranks.get(j, 0) - ranks.get(j + 1, 0))
-    return HomologyResult(tuple(betti), tuple(() for _ in betti), reduced=c.reduced)
+    diffs = []
+    for j in range(len(degrees) - 1):
+        index = {chain: c for c, chain in enumerate(k.simplices[j])}
+        rows = [
+            {index[tau[:i] + tau[i + 1:]]: -1 if i % 2 else 1 for i in range(len(tau))}
+            for tau in k.simplices[j + 1]
+        ]
+        diffs.append(Matrix.from_sparse(ring, degrees[j + 1], degrees[j], rows))
+    return CochainComplex(degrees, diffs)
 
 
 def integral_homology(k: OrderComplex, reduced: bool = True) -> HomologyResult:
     """Integral homology of an order complex via Smith normal forms.
 
-    With `reduced` (the default) the augmentation participates in
-    degree 0, so acyclic complexes report all groups zero.  The empty
+    The coboundary d_j is the transpose of the boundary into degree j,
+    with the same invariant factors, so the torsion of H_j is that of
+    d_j.  H_0 is free, so reduced homology (the default) only removes
+    one Z from it: acyclic complexes report all groups zero.  The empty
     complex reports a single degree with Betti 0 but is never acyclic
     (see :func:`is_acyclic`).
     """
     if k.vertex_count == 0:
-        return HomologyResult((0,), ((),), reduced=reduced)
-    c = simplicial_chain_complex(k, ZZ, reduced=reduced)
-    forms = {}
-    lo = 0 if reduced else 1
-    for j, b in enumerate(c.boundaries):
-        forms[j + lo] = smith_normal_form(b)
-    betti = []
-    torsion = []
-    for j, dim in enumerate(c.degrees):
-        r_out = forms[j].rank if j in forms else 0
-        r_in = forms[j + 1].rank if j + 1 in forms else 0
-        betti.append(dim - r_out - r_in)
-        torsion.append(forms[j + 1].torsion if j + 1 in forms else ())
-    return HomologyResult(tuple(betti), tuple(torsion), reduced=reduced)
-
-
-def integral_reduced_homology(k: OrderComplex) -> HomologyResult:
-    return integral_homology(k, reduced=True)
+        return HomologyResult((0,), ((),))
+    c = simplicial_cochain_complex(k, ZZ)
+    forms = [smith_normal_form(d) for d in c.differentials]
+    betti = _betti(c.degrees, [f.rank for f in forms])
+    if reduced:
+        betti = (betti[0] - 1,) + betti[1:]
+    return HomologyResult(betti, tuple(f.torsion for f in forms) + ((),))
 
 
 def is_acyclic(k: OrderComplex) -> bool:
@@ -248,4 +198,4 @@ def is_acyclic(k: OrderComplex) -> bool:
     """
     if k.vertex_count == 0:
         return False
-    return integral_reduced_homology(k).is_trivial()
+    return integral_homology(k).is_trivial()

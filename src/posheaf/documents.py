@@ -195,24 +195,30 @@ def document_space(doc: SpaceDocument) -> SheavedSpace:
 
 
 def space_to_data(sp: SheavedSpace, field_tag: str, generator: Optional[dict] = None) -> dict:
-    """Serialize a sheaved space canonically (sorted covers and keys)."""
+    """Serialize a sheaved space canonically (sorted covers and keys).
+
+    Raises DocumentError for an entry with more digits than Python turns
+    into a string (`sys.get_int_max_str_digits`), which composing long
+    maps can produce; such an entry could not be read back either.
+    """
     f = sp.sheaf
-    data = {
+    maps = {}
+    for (u, v) in sorted(sp.poset.covers):
+        key = f"{u}{MAP_KEY_SEP}{v}"
+        try:
+            maps[key] = [[str(x) for x in row] for row in f.cover_maps[(u, v)].entries]
+        except ValueError:
+            raise DocumentError(f"map {key} has an entry too long to write") from None
+    return {
         "generator": generator or {"tool": "posheaf", "version": __version__},
         "field": field_tag,
         "elements": list(sp.poset.elements),
         "covers": [list(c) for c in sorted(sp.poset.covers)],
         "sheaf": {
             "stalks": {e: f.stalk_dim[e] for e in sorted(sp.poset.elements)},
-            "maps": {
-                f"{u}{MAP_KEY_SEP}{v}": [
-                    [str(x) for x in row] for row in f.cover_maps[(u, v)].entries
-                ]
-                for (u, v) in sorted(sp.poset.covers)
-            },
+            "maps": maps,
         },
     }
-    return data
 
 
 def dump_json(data: dict) -> str:

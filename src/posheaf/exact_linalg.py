@@ -240,9 +240,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return compose(self, other)
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product (column vector)."""
         if len(vec) != self.cols:

@@ -247,10 +247,6 @@ class OrderComplex:
         self.simplices = tuple(tuple(level) for level in simplices)
 
     @property
-    def dim(self) -> int:
-        return len(self.simplices) - 1
-
-    @property
     def vertex_count(self) -> int:
         return len(self.simplices[0]) if self.simplices else 0
 
@@ -268,7 +264,6 @@ class OrderComplex:
 def order_complex(p: Poset) -> OrderComplex:
     """Every nonempty chain of p, as a simplicial complex."""
     levels: list[list[tuple]] = []
-    ext = p.linear_extension()
     succ = {e: sorted(p._above[e]) for e in p.elements}
 
     def extend(chain: tuple, top):
@@ -279,7 +274,7 @@ def order_complex(p: Poset) -> OrderComplex:
         for v in succ[top]:
             extend(chain + (v,), v)
 
-    for e in ext:
+    for e in p.elements:
         extend((e,), e)
     for level in levels:
         level.sort()

@@ -151,10 +151,9 @@ class SectionSpace:
     product of stalks.
     """
 
-    __slots__ = ("ambient_dim", "basis", "offsets")
+    __slots__ = ("basis", "offsets")
 
-    def __init__(self, ambient_dim: int, basis, offsets):
-        self.ambient_dim = ambient_dim
+    def __init__(self, basis, offsets):
         self.basis = tuple(tuple(v) for v in basis)
         self.offsets = dict(offsets)
 
@@ -350,4 +349,4 @@ def global_sections(sp: SheavedSpace) -> SectionSpace:
             rows.append(row)
     mat = Matrix.from_sparse(ring, len(rows), total, rows)
     basis = kernel_basis(mat)
-    return SectionSpace(total, basis, offsets)
+    return SectionSpace(basis, offsets)

@@ -17,12 +17,12 @@ import pytest
 from gen import random_ideal, random_poset, random_sheaf
 from posheaf.cli import main
 from posheaf.cohomology import (
-    chain_homology_field,
-    integral_reduced_homology,
+    field_cohomology,
+    integral_homology,
     is_acyclic,
     roos_complex,
     sheaf_cohomology,
-    simplicial_chain_complex,
+    simplicial_cochain_complex,
 )
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ
@@ -136,7 +136,7 @@ def test_criterion_05_mccord_consistency():
         p = random_poset(rng, rng.randint(1, 10))
         h = betti(SheavedSpace(p, constant_sheaf(p, QQ)))
         k = order_complex(p)
-        hs = chain_homology_field(simplicial_chain_complex(k, QQ))
+        hs = field_cohomology(simplicial_cochain_complex(k, QQ))
         assert h == hs.betti_trimmed()
     report(5, "constant sheaf cohomology matches order complex, 100 posets")
 
@@ -144,7 +144,7 @@ def test_criterion_05_mccord_consistency():
 def test_criterion_06_circle_fixture():
     p = four_point_circle()
     assert betti(SheavedSpace(p, constant_sheaf(p, QQ))) == (1, 1)
-    h = integral_reduced_homology(order_complex(p))
+    h = integral_homology(order_complex(p))
     assert h.betti == (0, 1)
     assert h.torsion_trimmed() == ()
     report(6, "circle fixture: Betti (1,1), integral homology (Z, Z)")
@@ -212,8 +212,8 @@ def test_criterion_08_ideal_sheaf_cohomology():
             sorted(ideal),
             [(u, v) for (u, v) in p.covers if u in ideal and v in ideal],
         )
-        hs = chain_homology_field(
-            simplicial_chain_complex(order_complex(sub), QQ)
+        hs = field_cohomology(
+            simplicial_cochain_complex(order_complex(sub), QQ)
         )
         assert h == hs.betti_trimmed(), (p.elements, sorted(ideal))
         checked += 1
@@ -225,12 +225,12 @@ def test_criterion_09_constant_updown_removal():
     removals = 0
     for _ in range(100):
         p = random_poset(rng, rng.randint(2, 10))
-        h = integral_reduced_homology(order_complex(p))
+        h = integral_homology(order_complex(p))
         for s in p.elements:
             if not removable_by_acyclic_upset_constant(p, s):
                 continue
             q = remove_element(p, s)
-            hq = integral_reduced_homology(order_complex(q))
+            hq = integral_homology(order_complex(q))
             assert h.same_groups(hq), (p.elements, s)
             removals += 1
     assert removals >= 100
@@ -240,7 +240,7 @@ def test_criterion_09_constant_updown_removal():
 def test_criterion_10_bing_house():
     house = simplicial_complex(bing_house_triangles())
     assert is_acyclic(house)
-    assert integral_reduced_homology(house).is_trivial()
+    assert integral_homology(house).is_trivial()
 
     p = bing_house_with_apexes()
     beats = {r.element for r in find_beats(SheavedSpace(p, constant_sheaf(p, GF(7))))}

@@ -49,6 +49,21 @@ def circle_sheaf_doc(scalars):
     })
 
 
+def oversized_result_doc():
+    """The circle plus p < m < y and p < x; p->m and m->y have 3,000 digits.
+
+    Removing the downbeat m composes them into a 6,000-digit entry, more
+    digits than Python writes as a string.
+    """
+    doc = circle_doc()
+    doc["elements"] += ["p", "m"]
+    doc["covers"] += [["p", "m"], ["m", "y"], ["p", "x"]]
+    maps = {f"{u}->{v}": [["1"]] for u, v in doc["covers"]}
+    maps["p->m"] = maps["m->y"] = [["7" * 3000]]
+    doc["sheaf"] = {"stalks": dict.fromkeys(doc["elements"], 1), "maps": maps}
+    return doc
+
+
 def noncommuting_doc():
     i = [["1"]]
     return {
@@ -237,6 +252,20 @@ class TestSimplifyAndCore:
         report = json.loads(capsys.readouterr().out)
         assert report["certified"] is True and report["trace"]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["core"], ["simplify"], ["simplify", "--strategy", "acyclic-down"],
+    ])
+    def test_oversized_result_is_refused(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, oversized_result_doc())
+        assert main(["validate", path]) == main(["cohomology", path]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "out.json")
+        assert main([command[0], path, *command[1:], "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert "invalid document: map p->y" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists()
 
     def test_random_spaces_certify(self, tmp_path, capsys):
         rng = random.Random(83)

@@ -12,23 +12,21 @@ import pytest
 
 from gen import random_poset, random_sheaf
 from posheaf.cohomology import (
-    ChainComplex,
     CochainComplex,
     ComplexError,
-    chain_homology_field,
     field_cohomology,
     integral_homology,
-    integral_reduced_homology,
     is_acyclic,
     roos_complex,
     sheaf_cohomology,
-    simplicial_chain_complex,
+    simplicial_cochain_complex,
 )
 from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.fixtures import (
     circle_with_apex,
     four_point_circle,
     p5_gadget,
+    face_poset,
     p5_poset,
     simplicial_complex,
 )
@@ -39,6 +37,17 @@ from posheaf.sheaf import (
     global_sections,
     skyscraper_sheaf,
 )
+
+
+# the minimal 6-vertex triangulation of the real projective plane
+RP2 = [
+    ("1", "2", "6"), ("2", "3", "4"), ("1", "3", "5"),
+    ("1", "2", "3"), ("1", "4", "6"), ("1", "4", "5"),
+    ("2", "4", "5"), ("2", "5", "6"), ("3", "4", "6"),
+    ("3", "5", "6"),
+]
+# its suspension: the Z/2 of H_1 moves to H_2
+SUSPENDED_RP2 = [t + (pole,) for t in RP2 for pole in ("n", "s")]
 
 
 def space(p, f):
@@ -124,7 +133,7 @@ class TestSheafCohomology:
             ring = rng.choice([QQ, GF(2), GF(3)])
             h = sheaf_cohomology(space(p, constant_sheaf(p, ring)))
             k = order_complex(p)
-            hs = chain_homology_field(simplicial_chain_complex(k, ring))
+            hs = field_cohomology(simplicial_cochain_complex(k, ring))
             assert h.betti_trimmed() == hs.betti_trimmed()
 
 
@@ -154,20 +163,14 @@ class TestSimplicialHomology:
         assert h.torsion_trimmed() == ()
 
     def test_projective_plane(self):
-        # minimal 6-vertex triangulation; torsion shows only over Z and GF(2)
-        rp2 = [
-            ("1", "2", "6"), ("2", "3", "4"), ("1", "3", "5"),
-            ("1", "2", "3"), ("1", "4", "6"), ("1", "4", "5"),
-            ("2", "4", "5"), ("2", "5", "6"), ("3", "4", "6"),
-            ("3", "5", "6"),
-        ]
-        k = simplicial_complex(rp2)
+        # torsion shows only over Z and GF(2)
+        k = simplicial_complex(RP2)
         h = integral_homology(k, reduced=False)
         assert h.betti == (1, 0, 0)
         assert h.torsion == ((), (2,), ())
-        hq = chain_homology_field(simplicial_chain_complex(k, QQ))
+        hq = field_cohomology(simplicial_cochain_complex(k, QQ))
         assert hq.betti_trimmed() == (1,)
-        h2 = chain_homology_field(simplicial_chain_complex(k, GF(2)))
+        h2 = field_cohomology(simplicial_cochain_complex(k, GF(2)))
         assert h2.betti_trimmed() == (1, 1, 1)
 
     def test_sphere_boundary_of_tetrahedron(self):
@@ -186,7 +189,7 @@ class TestSimplicialHomology:
             if not k.counts():
                 continue
             hz = integral_homology(k, reduced=False)
-            hq = chain_homology_field(simplicial_chain_complex(k, QQ))
+            hq = field_cohomology(simplicial_cochain_complex(k, QQ))
             assert hz.betti_trimmed() == hq.betti_trimmed()
 
 
@@ -207,19 +210,46 @@ class TestAcyclicity:
         assert not is_acyclic(simplicial_complex([("a",), ("b",)]))
 
     def test_rp2_not_acyclic_despite_rational_acyclicity(self):
-        rp2 = [
-            ("1", "2", "6"), ("2", "3", "4"), ("1", "3", "5"),
-            ("1", "2", "3"), ("1", "4", "6"), ("1", "4", "5"),
-            ("2", "4", "5"), ("2", "5", "6"), ("3", "4", "6"),
-            ("3", "5", "6"),
-        ]
-        k = simplicial_complex(rp2)
-        assert chain_homology_field(simplicial_chain_complex(k, QQ, reduced=True)).is_trivial()
+        k = simplicial_complex(RP2)
+        assert field_cohomology(simplicial_cochain_complex(k, QQ)).betti_trimmed() == (1,)
         assert not is_acyclic(k)
 
     def test_reduced_shifts_h0(self):
         k = order_complex(p5_poset())
-        r = integral_reduced_homology(k)
+        r = integral_homology(k)
         u = integral_homology(k, reduced=False)
         assert u.betti[0] == r.betti[0] + 1
         assert u.betti[1:] == r.betti[1:]
+
+
+class TestUniversalCoefficients:
+    """dim H_j(K; GF(p)) = b_j + t_j(p) + t_{j-1}(p), where b_j is the
+    rank of H_j(K; Z) and t_j(p) counts its invariant factors that p
+    divides: the field route checks where the integral route puts torsion."""
+
+    @staticmethod
+    def check(k):
+        h = integral_homology(k, reduced=False)
+        for p in (2, 3, 5):
+            t = [sum(1 for d in tors if d % p == 0) for tors in h.torsion]
+            expected = tuple(b + t[j] + (t[j - 1] if j else 0) for j, b in enumerate(h.betti))
+            assert field_cohomology(simplicial_cochain_complex(k, GF(p))).betti == expected
+
+    @pytest.mark.parametrize("facets, torsion", [
+        (RP2, ((), (2,))),
+        (SUSPENDED_RP2, ((), (), (2,))),
+    ])
+    def test_projective_plane_and_suspension(self, facets, torsion):
+        for k in (simplicial_complex(facets), order_complex(face_poset(facets))):
+            assert integral_homology(k, reduced=False).torsion_trimmed() == torsion
+            self.check(k)
+
+    def test_random_complexes(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            vertices = [str(v) for v in range(rng.randint(1, 7))]
+            facets = [
+                tuple(rng.sample(vertices, rng.randint(1, min(len(vertices), 4))))
+                for _ in range(rng.randint(1, 8))
+            ]
+            self.check(simplicial_complex(facets))
