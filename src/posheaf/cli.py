@@ -16,6 +16,7 @@ from . import __version__
 from .cohomology import (
     HomologyResult,
     integral_homology,
+    reduce_homology,
     sheaf_cohomology,
 )
 from .documents import (
@@ -146,7 +147,7 @@ def cmd_homology(args) -> int:
     t0 = time.monotonic()
     k = order_complex(sp.poset)
     unred = integral_homology(k, reduced=False)
-    red = integral_homology(k, reduced=True)
+    red = reduce_homology(unred)
     report = {
         "generator": _generator(),
         "betti": _betti_report(unred),

@@ -184,10 +184,20 @@ def integral_homology(k: OrderComplex, reduced: bool = True) -> HomologyResult:
         return HomologyResult((0,), ((),))
     c = simplicial_cochain_complex(k, ZZ)
     forms = [smith_normal_form(d) for d in c.differentials]
-    betti = _betti(c.degrees, [f.rank for f in forms])
-    if reduced:
-        betti = (betti[0] - 1,) + betti[1:]
-    return HomologyResult(betti, tuple(f.torsion for f in forms) + ((),))
+    h = HomologyResult(_betti(c.degrees, [f.rank for f in forms]),
+                       tuple(f.torsion for f in forms) + ((),))
+    return reduce_homology(h) if reduced else h
+
+
+def reduce_homology(h: HomologyResult) -> HomologyResult:
+    """Reduced from unreduced integral homology: one Z less in H_0.
+
+    The empty complex (H_0 = 0) keeps its result, as in
+    :func:`integral_homology`.
+    """
+    if not h.betti[0]:
+        return h
+    return HomologyResult((h.betti[0] - 1,) + h.betti[1:], h.torsion)
 
 
 def is_acyclic(k: OrderComplex) -> bool:

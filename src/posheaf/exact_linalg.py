@@ -72,6 +72,10 @@ class Rationals:
     is_field = True
 
     def coerce(self, x):
+        if type(x) is Fraction:  # the common cases skip the ABC checks
+            return x
+        if type(x) is int:
+            return Fraction(x)
         x = _exact(x)
         return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -92,6 +96,8 @@ class Integers:
     is_field = False
 
     def coerce(self, x):
+        if type(x) is int:
+            return x
         return _integer(x, "an integer")
 
     def __repr__(self):
@@ -118,6 +124,8 @@ class PrimeField:
         self.name = f"GF({p})"
 
     def coerce(self, x):
+        if type(x) is int:
+            return x % self.p
         return _integer(x, f"a GF({self.p}) residue") % self.p
 
     def __repr__(self):

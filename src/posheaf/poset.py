@@ -4,8 +4,13 @@ Elements are opaque, sortable names; the cover relation is the
 transitive reduction of the order.  :func:`build_poset` is the one way
 to make a poset: it validates the covers and computes, once, the cover
 tables and the strict up- and down-closure of every element.  Posets
-are immutable after construction; every derived poset (downsets,
-upsets, element removal) goes through :func:`build_poset` again.
+are immutable after construction, apart from the tables they compute on
+first use; every derived poset (downsets, upsets, element removal) goes
+through :func:`build_poset` again.
+
+Two acyclicity certificates need no linear algebra: the Moebius function
+(:meth:`Poset.mobius`) rejects, and a beat collapse to a point
+(:func:`collapses_to_point`) accepts.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ class Poset:
     and hands over the cover and closure tables it computed.
     """
 
-    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower", "_index")
+    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower", "_index",
+                 "_mobius", "_acyclic")
 
     def __init__(self, elements: tuple, covers: frozenset, upper: dict, lower: dict,
                  above: dict, below: dict):
@@ -55,6 +61,9 @@ class Poset:
         self._above = above
         self._below = below
         self._index = {e: i for i, e in enumerate(elements)}
+        self._mobius = [None, None]  # the order's table, then the dual's
+        # element set -> acyclicity verdict; shared with every induced subposet
+        self._acyclic = {}
 
     # -- queries ------------------------------------------------------
 
@@ -97,6 +106,25 @@ class Poset:
     def strictly_below(self, e) -> frozenset:
         self._check(e)
         return self._below[e]
+
+    def mobius(self, dual: bool = False) -> dict:
+        """mu(e) = -1 - sum of mu(t) over t < e (t > e if `dual`), for every e.
+
+        This is the Moebius function from a bottom (top) adjoined to the
+        poset, so by P. Hall's theorem mu(e) is the reduced Euler
+        characteristic of the order complex of the strict downset
+        (upset) of e: if it is nonzero, that complex is not acyclic.
+        Computed on first use and kept.
+        """
+        mu = self._mobius[dual]
+        if mu is None:
+            closure = self._above if dual else self._below
+            mu = {}
+            # a closure strictly contains the closures of the elements in it
+            for e in sorted(self.elements, key=lambda e: len(closure[e])):
+                mu[e] = -1 - sum(mu[t] for t in closure[e])
+            self._mobius[dual] = mu
+        return mu
 
     def maximal_elements(self) -> tuple:
         return tuple(e for e in self.elements if not self._upper[e])
@@ -204,7 +232,10 @@ def induced_subposet(p: Poset, keep) -> Poset:
     covers = {
         (u, v) for u in sub for v in above[u] if not (above[u] & below[v])
     }
-    return build_poset(sub, covers)
+    q = build_poset(sub, covers)
+    # a set of elements fixes its induced subposet of the root order
+    q._acyclic = p._acyclic
+    return q
 
 
 def downset(p: Poset, s) -> Poset:
@@ -222,6 +253,49 @@ def upset(p: Poset, s) -> Poset:
 def remove_element(p: Poset, s) -> Poset:
     p._check(s)
     return induced_subposet(p, set(p.elements) - {s})
+
+
+def _remove_beat(p: Poset, x, lower: dict, upper: dict) -> list:
+    """Remove x from the cover tables of a subposet of p if x is a beat
+    there; return the elements whose cover counts changed ([] if x is no
+    beat).  When x's only lower cover is a, a becomes a lower cover of
+    each upper cover b of x unless another lower cover of b lies above
+    a; an upbeat is the same in the dual order."""
+    if len(lower[x]) == 1:
+        down, up, strictly_under = lower, upper, p._below
+    elif len(upper[x]) == 1:
+        down, up, strictly_under = upper, lower, p._above
+    else:
+        return []
+    (a,) = down.pop(x)
+    up[a].discard(x)
+    touched = [a]
+    for b in up.pop(x):
+        down[b].discard(x)
+        if not any(a in strictly_under[w] for w in down[b]):
+            down[b].add(a)
+            up[a].add(b)
+        touched.append(b)
+    return touched
+
+
+def collapses_to_point(p: Poset) -> bool:
+    """True iff removing beat points (a unique lower or a unique upper
+    cover) one at a time leaves a single point, so p is contractible
+    (Stong 1966) and its order complex acyclic.
+
+    Every maximal sequence of beat removals ends in the core, which is
+    unique up to isomorphism, so the order of removals does not matter.
+    Covers are updated locally after each removal.
+    """
+    lower = {e: set(us) for e, us in p._lower.items()}
+    upper = {e: set(vs) for e, vs in p._upper.items()}
+    todo = list(p.elements)
+    while todo and len(lower) > 1:
+        x = todo.pop()
+        if x in lower:
+            todo += _remove_beat(p, x, lower, upper)
+    return len(lower) == 1
 
 
 def is_downbeat(p: Poset, s) -> bool:

@@ -5,7 +5,9 @@ order-theoretic notion, with the sheaf-side requirement that an
 upbeat's unique outgoing restriction map is an isomorphism.  The
 acyclic-downset rule removes any element whose strict downset has the
 integral homology of a point; the up/down variant applies to constant
-coefficients only.
+coefficients only.  Acyclicity is decided by the cheapest certificate
+that settles it: a nonzero Moebius value rejects, a beat collapse to a
+point accepts, and a Smith normal form decides the rest.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ from typing import Optional
 
 from .cohomology import is_acyclic
 from .exact_linalg import rank
-from .poset import Poset, downset, is_downbeat, is_upbeat_poset, order_complex, upset
+from .poset import (
+    Poset,
+    collapses_to_point,
+    induced_subposet,
+    is_downbeat,
+    is_upbeat_poset,
+    order_complex,
+)
 from .sheaf import SheavedSpace, is_constant, restrict
 
 
@@ -30,8 +39,18 @@ ACYCLIC_DOWNSET = "acyclic-downset"
 ACYCLIC_UPSET = "acyclic-upset"
 
 
-def _acyclic(p: Poset) -> bool:
-    return is_acyclic(order_complex(p))
+def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
+    """True iff the strict downset of s (upset if `dual`) has acyclic
+    order complex.  Verdicts past the Moebius test are kept by element
+    set on the poset, which shares them with every poset induced from it."""
+    keep = p.strictly_above(s) if dual else p.strictly_below(s)
+    if p.mobius(dual)[s]:
+        return False
+    verdicts = p._acyclic
+    if keep not in verdicts:
+        q = induced_subposet(p, keep)
+        verdicts[keep] = collapses_to_point(q) or is_acyclic(order_complex(q))
+    return verdicts[keep]
 
 
 def _is_upbeat(sp: SheavedSpace, e) -> bool:
@@ -44,12 +63,12 @@ def _is_upbeat(sp: SheavedSpace, e) -> bool:
 
 def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:
     """True iff the strict downset of s has acyclic order complex."""
-    return _acyclic(downset(sp.poset, s))
+    return _acyclic_closure(sp.poset, s)
 
 
 def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
     """Down- or upset acyclicity; valid for constant coefficients only."""
-    return _acyclic(downset(p, s)) or _acyclic(upset(p, s))
+    return _acyclic_closure(p, s) or _acyclic_closure(p, s, dual=True)
 
 
 # rule -> (predicate on a space and an element, valid for constant sheaves only)
@@ -57,7 +76,7 @@ RULES = {
     DOWNBEAT: (lambda sp, e: is_downbeat(sp.poset, e), False),
     UPBEAT: (_is_upbeat, False),
     ACYCLIC_DOWNSET: (removable_by_acyclic_downset, False),
-    ACYCLIC_UPSET: (lambda sp, e: _acyclic(upset(sp.poset, e)), True),
+    ACYCLIC_UPSET: (lambda sp, e: _acyclic_closure(sp.poset, e, dual=True), True),
 }
 BEATS = (DOWNBEAT, UPBEAT)
 

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import random_poset, random_sheaf, random_space
+from posheaf import __version__, cli
+from posheaf import cohomology as cohomology_module
 from posheaf import sheaf as sheaf_module
 from posheaf.cli import main
 from posheaf.cohomology import sheaf_cohomology
 from posheaf.documents import parse_space, space_to_data
 from posheaf.exact_linalg import QQ
+from posheaf.fixtures import bing_house_poset, circle_with_apex, face_poset, four_point_circle
+from posheaf.poset import build_poset, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf
+from test_cohomology import RP2
 
 
 def write_doc(tmp_path, data, name="space.json"):
@@ -177,6 +182,36 @@ class TestHomology:
     def test_sheaf_block_warns(self, tmp_path, capsys):
         assert main(["homology", write_doc(tmp_path, two_chain_doc())]) == 0
         assert "ignored" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("poset, groups", [
+        (four_point_circle, ([1, 1], [], [0, 1], [])),
+        (circle_with_apex, ([1], [], [], [])),
+        (bing_house_poset, ([1], [], [], [])),
+        (lambda: face_poset(RP2), ([1], [[], [2]], [], [[], [2]])),
+        (lambda: build_poset([], []), ([], [], [], [])),
+    ], ids=["circle", "circle-with-apex", "house", "projective-plane", "empty"])
+    def test_one_smith_form_per_differential(self, tmp_path, capsys, monkeypatch,
+                                             poset, groups):
+        calls = []
+        snf = cohomology_module.smith_normal_form
+        monkeypatch.setattr(cohomology_module, "smith_normal_form",
+                            lambda m: calls.append(m) or snf(m))
+        monkeypatch.setattr(cli, "_ms", lambda t0: 0)
+        p = poset()
+        doc = {"field": "Z", "elements": list(p.elements), "covers": sorted(p.covers)}
+        assert main(["homology", write_doc(tmp_path, doc)]) == 0
+        betti, torsion, reduced_betti, reduced_torsion = groups
+        report = {
+            "generator": {"tool": "posheaf", "version": __version__},
+            "betti": betti,
+            "torsion": torsion,
+            "reduced_betti": reduced_betti,
+            "reduced_torsion": reduced_torsion,
+            "sizes": {"elements": len(p)},
+            "timing_ms": 0,
+        }
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+        assert len(calls) == max(len(order_complex(p).simplices) - 1, 0)
 
 
 class TestSimplifyAndCore:

@@ -266,6 +266,26 @@ def test_inexact_scalars_rejected(make):
         make()
 
 
+class _Int(int):
+    """Not of type int, so `coerce` takes its general path."""
+
+
+class _Fraction(Fraction):
+    """Not of type Fraction, so `coerce` takes its general path."""
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**12),
+       st.sampled_from([QQ, ZZ, GF(2), GF(7), GF(2**31 - 1)]))
+@settings(max_examples=200, deadline=None)
+def test_coerce_fast_path_matches_general_path(n, d, ring):
+    fast, general = ring.coerce(n), ring.coerce(_Int(n))
+    assert fast == general and type(fast) is type(general)
+    assert type(fast) is (Fraction if ring == QQ else int)
+    if ring == QQ:
+        q = Fraction(n, d)
+        assert ring.coerce(q) == ring.coerce(_Fraction(n, d)) == q
+
+
 def test_import_does_not_load_numpy():
     import posheaf
 

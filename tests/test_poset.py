@@ -3,14 +3,22 @@ import random
 import pytest
 
 from gen import random_poset
-from posheaf.fixtures import four_point_circle, p5_gadget, p5_poset
+from posheaf.fixtures import (
+    bing_house_poset,
+    circle_with_apex,
+    four_point_circle,
+    p5_gadget,
+    p5_poset,
+)
 from posheaf.poset import (
     CycleError,
     IsomorphismSizeError,
     Poset,
     RedundantCoverError,
     UnknownElementError,
+    _remove_beat,
     build_poset,
+    collapses_to_point,
     downset,
     induced_subposet,
     is_downbeat,
@@ -128,6 +136,87 @@ class TestBeats:
                     all(leq(p, a, b) for b in above) for a in above
                 )
                 assert is_upbeat_poset(p, s) == dominated_up
+
+
+def collapses_by_rebuilding(p) -> bool:
+    """Reference for `collapses_to_point`: remove any beat through a
+    full rebuild of the poset until none is left."""
+    while len(p) > 1:
+        beats = [e for e in p.elements if is_downbeat(p, e) or is_upbeat_poset(p, e)]
+        if not beats:
+            return False
+        p = remove_element(p, beats[0])
+    return len(p) == 1
+
+
+class TestCertificates:
+    def test_mobius_is_reduced_euler_characteristic(self):
+        # P. Hall: mu(s) is the reduced Euler characteristic of the order
+        # complex of the strict downset (upset for the dual) of s
+        rng = random.Random(131)
+        for _ in range(60):
+            p = random_poset(rng, rng.randint(1, 10))
+            for dual, closure in ((False, downset), (True, upset)):
+                mu = p.mobius(dual)
+                for s in p.elements:
+                    counts = order_complex(closure(p, s)).counts()
+                    chi = sum((-1) ** k * n for k, n in enumerate(counts))
+                    assert mu[s] == chi - 1
+                assert p.mobius(dual) is mu  # computed once
+
+    def test_collapse_examples(self):
+        assert collapses_to_point(chain("a"))
+        assert collapses_to_point(chain("a", "b", "c"))
+        assert collapses_to_point(circle_with_apex())
+        assert collapses_to_point(p5_gadget())
+        assert not collapses_to_point(build_poset([], []))
+        assert not collapses_to_point(build_poset(["a", "b"], []))
+        assert not collapses_to_point(four_point_circle())
+        # contractible, but without a single beat
+        assert not collapses_to_point(bing_house_poset())
+
+    def test_collapse_matches_rebuilding_reference(self):
+        rng = random.Random(137)
+        collapsed = 0
+        for _ in range(150):
+            p = random_poset(rng, rng.randint(1, 12))
+            for q in [p] + [downset(p, s) for s in p.elements]:
+                expected = collapses_by_rebuilding(q)
+                assert collapses_to_point(q) == expected
+                collapsed += expected
+        assert collapsed > 100
+
+    def test_local_cover_update_matches_rebuild(self):
+        # after each beat removal the updated tables are the covers of
+        # the induced subposet, for down- and upbeats alike
+        rng = random.Random(149)
+        removed = {"down": 0, "up": 0}
+        for _ in range(150):
+            p = q = random_poset(rng, rng.randint(2, 12))
+            lower = {e: set(us) for e, us in p._lower.items()}
+            upper = {e: set(vs) for e, vs in p._upper.items()}
+            while True:
+                beats = [e for e in q.elements if len(lower[e]) == 1 or len(upper[e]) == 1]
+                if not beats:
+                    break
+                x = rng.choice(beats)
+                removed["down" if len(lower[x]) == 1 else "up"] += 1
+                degrees = {e: (len(lower[e]), len(upper[e])) for e in q.elements}
+                touched = _remove_beat(p, x, lower, upper)
+                q = remove_element(q, x)
+                assert lower == {e: set(q.lower_covers(e)) for e in q.elements}
+                assert upper == {e: set(q.upper_covers(e)) for e in q.elements}
+                # only the returned elements can change their beat status
+                assert {e for e in q.elements
+                        if degrees[e] != (len(lower[e]), len(upper[e]))} <= set(touched)
+        assert min(removed.values()) > 200
+
+    def test_subposets_share_the_verdict_memo(self):
+        p = p5_gadget()
+        q = downset(p, "s")
+        assert q._acyclic is p._acyclic
+        assert remove_element(q, q.elements[0])._acyclic is p._acyclic
+        assert build_poset(q.elements, q.covers)._acyclic is not p._acyclic
 
 
 class TestOrderComplex:

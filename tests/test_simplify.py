@@ -1,14 +1,29 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import random_poset, random_sheaf, random_space
 from posheaf import sheaf as sheaf_module
-from posheaf.cohomology import sheaf_cohomology
+from posheaf import simplify as simplify_module
+from posheaf.cohomology import is_acyclic, sheaf_cohomology
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
-from posheaf.fixtures import circle_with_apex, four_point_circle, p5_gadget
-from posheaf.poset import build_poset, posets_isomorphic
+from posheaf.fixtures import (
+    bing_house_with_apexes,
+    circle_with_apex,
+    four_point_circle,
+    p5_gadget,
+)
+from posheaf.poset import (
+    build_poset,
+    collapses_to_point,
+    downset,
+    order_complex,
+    posets_isomorphic,
+    upset,
+)
 from posheaf.sheaf import Sheaf, SheavedSpace, check_commutativity, constant_sheaf
 from posheaf.simplify import (
     ACYCLIC_DOWNSET,
@@ -189,6 +204,67 @@ class TestAcyclicRemovals:
         for e in circle.elements:
             # empty on one side, a two-point antichain on the other
             assert not removable_by_acyclic_upset_constant(circle, e)
+
+
+def reference_acyclic(p, s, dual=False) -> bool:
+    return is_acyclic(order_complex((upset if dual else downset)(p, s)))
+
+
+class TestAcyclicityCertificates:
+    @given(st.integers(0, 2**32), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_predicates_match_smith_form(self, seed, n):
+        p = random_poset(random.Random(seed), n)
+        sp = const_space(p)
+        for s in p.elements:
+            down, up = reference_acyclic(p, s), reference_acyclic(p, s, dual=True)
+            assert removable_by_acyclic_downset(sp, s) == down
+            assert RULES["acyclic-upset"][0](sp, s) == up
+            assert removable_by_acyclic_upset_constant(p, s) == (down or up)
+
+    def test_each_certificate_agrees_with_smith_form(self):
+        rng = random.Random(139)
+        rejected = accepted = 0
+        for _ in range(200):
+            p = random_poset(rng, rng.randint(1, 12))
+            for dual in (False, True):
+                mu = p.mobius(dual)
+                for s in p.elements:
+                    q = (upset if dual else downset)(p, s)
+                    if mu[s]:
+                        assert not is_acyclic(order_complex(q))
+                        rejected += 1
+                    if collapses_to_point(q):
+                        assert is_acyclic(order_complex(q))
+                        accepted += 1
+        assert rejected > 1000 and accepted > 500
+
+    def test_house_apexes_need_one_smith_form(self, monkeypatch):
+        """Only the apexes' downset (the house: mu = 0, no beat) needs a
+        Smith form; the verdict memo serves the second apex and replay.
+        Each run builds its own poset and so computes its own verdict."""
+        calls, in_replay = [], []
+        acyclic = simplify_module.is_acyclic
+        monkeypatch.setattr(simplify_module, "is_acyclic",
+                            lambda k: calls.append(bool(in_replay)) or acyclic(k))
+        replay = SimplificationTrace.replay
+
+        def traced_replay(trace):
+            in_replay.append(trace)
+            try:
+                return replay(trace)
+            finally:
+                in_replay.pop()
+
+        monkeypatch.setattr(SimplificationTrace, "replay", traced_replay)
+        for _ in range(2):
+            calls.clear()
+            p = bing_house_with_apexes()
+            sp = SheavedSpace(p, constant_sheaf(p, GF(7)))
+            out, trace = simplify_pipeline(sp, "acyclic-down")
+            assert [(t.removed, t.rule) for t in trace.steps] == [
+                ("apexU", ACYCLIC_DOWNSET), ("apexV", ACYCLIC_DOWNSET)]
+            assert 1 <= len(calls) <= 2 and not any(calls)
 
 
 class TestPipeline:
