@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Commands: validate, cohomology, homology, simplify, core.  Reports go
-to stdout as JSON, diagnostics to stderr.  Exit codes: 0 success,
-1 usage, 2 parse/structure, 3 commutativity, 4 certification failure.
+Commands: validate, cohomology, homology, simplify, core.  Sheaf
+cohomology uses the cellular complex on a simplicial face poset and the
+Roos complex on any other poset.  Reports go to stdout as JSON,
+diagnostics to stderr.  Exit codes: 0 success,
+1 usage, 2 parse/structure, 3 commutativity, 4 certification failure,
+5 input too large (an order complex over `poset.MAX_CHAINS` chains).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .documents import (
     load_space,
     space_to_data,
 )
-from .poset import order_complex
+from .poset import ChainCountError, order_complex
 from .sheaf import check_commutativity
 from .simplify import (
     STRATEGIES,
@@ -41,6 +44,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_COMMUTATIVITY = 3
 EXIT_CERTIFICATION = 4
+EXIT_TOO_LARGE = 5
 
 
 class _UsageExit(Exception):
@@ -250,6 +254,9 @@ def main(argv=None) -> int:
     except DocumentError as e:
         print(f"invalid document: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except ChainCountError as e:
+        print(f"input too large: {e}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except SystemExit as e:
         return int(e.code or 0)
 

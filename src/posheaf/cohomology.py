@@ -1,14 +1,21 @@
 """Cochain complexes and exact (co)homology.
 
-Builds the Roos complex of a sheaved space (degree-j chains contribute
-the stalk at the chain's top element) and simplicial cochain complexes
-of order complexes; cohomology over a field comes from exact ranks,
-integral homology from Smith normal forms of the coboundaries.
+Sheaf cohomology comes from one of two complexes with the same
+cohomology.  On the face poset of a simplicial complex (recognised by
+:func:`~posheaf.poset.simplicial_vertices`) it is the cellular complex:
+each face contributes its stalk once.  On any other poset it is the Roos
+complex: each chain contributes the stalk at its top element.  Both are
+assembled by one routine from their cells and each cell's faces.
+Simplicial cochain complexes of order complexes give constant
+coefficients; cohomology over a field comes from exact ranks, integral
+homology from Smith normal forms of the coboundaries.
 
 Sign convention: the vertices of every chain are listed in poset order
 and the i-th face carries sign (-1)^i.  In the Roos differential only
 the deleted-top face carries a restriction map; all other faces act by
-the identity.
+the identity.  In the cellular differential a face that lacks the
+vertex at position i (from 0) of the cell's name-sorted vertices carries
+(-1)^i times the cover map.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_linalg import ZZ, Matrix, compose, rank, smith_normal_form
-from .poset import OrderComplex, order_complex
+from .poset import OrderComplex, order_complex, simplicial_vertices
 from .sheaf import SheavedSpace, require_commutative
 
 
@@ -83,6 +90,45 @@ class HomologyResult:
         return not self.betti_trimmed() and not self.torsion_trimmed()
 
 
+def _assemble(f, levels, stalk, faces) -> CochainComplex:
+    """The cochain complex whose C^j sums the stalks at `stalk(cell)`
+    over the cells of `levels[j]`, in their order.
+
+    `faces(tau)` lists (sigma, sign, m) for the faces sigma of tau one
+    level down: the block of d at (tau, sigma) is sign * m, or sign
+    times the identity when m is None (sigma's stalk is then tau's).
+    """
+    dims = f.stalk_dim
+    degrees = []
+    offsets = []  # per level: cell -> first coordinate
+    for level in levels:
+        off = {}
+        total = 0
+        for cell in level:
+            off[cell] = total
+            total += dims[stalk(cell)]
+        degrees.append(total)
+        offsets.append(off)
+    diffs = []
+    for j in range(len(degrees) - 1):
+        rows = [{} for _ in range(degrees[j + 1])]
+        s_offsets = offsets[j]
+        for tau, t_off in offsets[j + 1].items():
+            # the faces are distinct cells, so their column blocks are disjoint
+            for sigma, sign, m in faces(tau):
+                s_off = s_offsets[sigma]
+                if m is None:
+                    for r in range(dims[stalk(tau)]):
+                        rows[t_off + r][s_off + r] = sign
+                else:
+                    for r, mrow in enumerate(m.sparse):
+                        row = rows[t_off + r]
+                        for c, x in mrow.items():
+                            row[s_off + c] = sign * x
+        diffs.append(Matrix.from_sparse(f.ring, degrees[j + 1], degrees[j], rows))
+    return CochainComplex(degrees, diffs)
+
+
 def roos_complex(sp: SheavedSpace) -> CochainComplex:
     """The Roos cochain complex of a sheaved space.
 
@@ -94,41 +140,40 @@ def roos_complex(sp: SheavedSpace) -> CochainComplex:
     """
     f = sp.sheaf
     require_commutative(f)
-    ring = f.ring
-    k = order_complex(sp.poset)
-    degrees = []
-    offsets = []  # per level: chain -> first coordinate
-    for level in k.simplices:
-        off = {}
-        total = 0
-        for chain in level:
-            off[chain] = total
-            total += f.stalk_dim[chain[-1]]
-        degrees.append(total)
-        offsets.append(off)
-    diffs = []
-    for j in range(len(degrees) - 1):
-        rows = [{} for _ in range(degrees[j + 1])]
-        for tau in k.simplices[j + 1]:
-            t_off = offsets[j + 1][tau]
-            top = tau[-1]
-            dt = f.stalk_dim[top]
-            # the faces are distinct chains, so their column blocks are disjoint
-            for i in range(len(tau)):
-                sigma = tau[:i] + tau[i + 1:]
-                s_off = offsets[j][sigma]
-                sign = -1 if i % 2 else 1
-                if i == len(tau) - 1:
-                    m = f.restriction(sigma[-1], top)
-                    for r, mrow in enumerate(m.sparse):
-                        row = rows[t_off + r]
-                        for c, x in mrow.items():
-                            row[s_off + c] = sign * x
-                else:
-                    for r in range(dt):
-                        rows[t_off + r][s_off + r] = sign
-        diffs.append(Matrix.from_sparse(ring, degrees[j + 1], degrees[j], rows))
-    return CochainComplex(degrees, diffs)
+
+    def faces(tau):
+        last = len(tau) - 1
+        for i in range(last):
+            yield tau[:i] + tau[i + 1:], -1 if i % 2 else 1, None
+        yield tau[:last], -1 if last % 2 else 1, f.restriction(tau[last - 1], tau[last])
+
+    return _assemble(f, order_complex(sp.poset).simplices, lambda chain: chain[-1], faces)
+
+
+def cellular_complex(sp: SheavedSpace, vertices: dict) -> CochainComplex:
+    """The cellular cochain complex of a sheaf on a simplicial face poset.
+
+    `vertices` is :func:`~posheaf.poset.simplicial_vertices` of the
+    poset.  C^j sums the stalks over the j-faces (j+1 vertices), sorted
+    by name.  The block of d at a cover sigma < tau is (-1)^i times the
+    cover map, where sigma lacks the vertex at position i (from 0) of
+    tau's vertices in name order.
+    """
+    f = sp.sheaf
+    require_commutative(f)
+    p = sp.poset
+    levels = [[] for _ in range(max(map(len, vertices.values())))]
+    for x in sorted(p.elements):
+        levels[len(vertices[x]) - 1].append(x)
+
+    def faces(tau):
+        names = sorted(vertices[tau])
+        for sigma in p.lower_covers(tau):
+            (lacking,) = vertices[tau] - vertices[sigma]
+            i = names.index(lacking)
+            yield sigma, -1 if i % 2 else 1, f.cover_maps[(sigma, tau)]
+
+    return _assemble(f, levels, lambda x: x, faces)
 
 
 def _betti(degrees, ranks) -> tuple[int, ...]:
@@ -147,8 +192,11 @@ def field_cohomology(c: CochainComplex) -> HomologyResult:
 
 
 def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
-    """Sheaf cohomology via the Roos complex (unreduced)."""
-    return field_cohomology(roos_complex(sp))
+    """Sheaf cohomology (unreduced): from the cellular complex on a
+    simplicial face poset, from the Roos complex on any other poset."""
+    vertices = simplicial_vertices(sp.poset)
+    c = roos_complex(sp) if vertices is None else cellular_complex(sp, vertices)
+    return field_cohomology(c)
 
 
 def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:

@@ -10,7 +10,9 @@ through :func:`build_poset` again.
 
 Two acyclicity certificates need no linear algebra: the Moebius function
 (:meth:`Poset.mobius`) rejects, and a beat collapse to a point
-(:func:`collapses_to_point`) accepts.
+(:func:`collapses_to_point`) accepts.  :func:`simplicial_vertices`
+recognises the face poset of a simplicial complex.  :func:`order_complex`
+counts the chains before it lists them and refuses more than MAX_CHAINS.
 """
 
 from __future__ import annotations
@@ -38,8 +40,16 @@ class IsomorphismSizeError(PosetError):
     """Isomorphism search is gated to small posets."""
 
 
+class ChainCountError(PosetError):
+    """The order complex has more chains than MAX_CHAINS."""
+
+
 # Backtracking isomorphism search is exponential; this is a desk-scale tool.
 ISO_MAX_ELEMENTS = 24
+# Chains can number 2^n - 1 on n elements; order complexes over this many
+# are refused.  At 2^16, the slowest shape measured (the 16-element chain,
+# whose cohomology over Q eliminates the full simplex) takes about 30 s.
+MAX_CHAINS = 65_536
 
 
 class Poset:
@@ -335,24 +345,65 @@ class OrderComplex:
         return f"OrderComplex(counts={self.counts()})"
 
 
+def chain_count(p: Poset) -> int:
+    """The number of nonempty chains of p, without listing them; past
+    MAX_CHAINS the sum stops, and the result only shows that it passed.
+
+    c(e) = 1 + sum of c(t) over t < e counts the chains whose top is e.
+    """
+    below = p._below
+    count = {}
+    total = 0
+    # a closure strictly contains the closures of the elements in it
+    for e in sorted(p.elements, key=lambda e: len(below[e])):
+        count[e] = 1 + sum(count[t] for t in below[e])
+        total += count[e]
+        if total > MAX_CHAINS:
+            break
+    return total
+
+
 def order_complex(p: Poset) -> OrderComplex:
-    """Every nonempty chain of p, as a simplicial complex."""
-    levels: list[list[tuple]] = []
+    """Every nonempty chain of p, as a simplicial complex.
+
+    Raises :class:`ChainCountError`, before listing any chain, when p
+    has more than MAX_CHAINS chains.
+    """
+    if chain_count(p) > MAX_CHAINS:
+        raise ChainCountError(f"the order complex has more than {MAX_CHAINS} chains")
     succ = {e: sorted(p._above[e]) for e in p.elements}
-
-    def extend(chain: tuple, top):
-        k = len(chain) - 1
-        while len(levels) <= k:
-            levels.append([])
-        levels[k].append(chain)
-        for v in succ[top]:
-            extend(chain + (v,), v)
-
-    for e in p.elements:
-        extend((e,), e)
-    for level in levels:
-        level.sort()
+    # extending a sorted level in order, each chain by its sorted
+    # successors, yields the next level sorted
+    level = [(e,) for e in sorted(p.elements)]
+    levels = []
+    while level:
+        levels.append(level)
+        level = [chain + (v,) for chain in level for v in succ[chain[-1]]]
     return OrderComplex(levels)
+
+
+def simplicial_vertices(p: Poset) -> Optional[dict]:
+    """x -> V(x), the minimal elements at or below x, if p is the face
+    poset of a simplicial complex; None otherwise (also when p is empty).
+
+    p is accepted iff V is injective and every x has 2^|V(x)| - 1
+    elements at or below it.  Then y -> V(y) maps the downset of x one
+    to one onto the nonempty subsets of V(x), and y <= z iff V(y) is
+    in V(z): each downset is a Boolean lattice without its bottom.
+    """
+    if not p.elements:
+        return None
+    minimal = {e for e in p.elements if not p._lower[e]}
+    vertices = {}
+    seen = set()
+    for x in p.elements:
+        below = p._below[x]
+        v = below & minimal if below else frozenset((x,))
+        if len(below) + 1 != 2 ** len(v) - 1 or v in seen:
+            return None
+        seen.add(v)
+        vertices[x] = v
+    return vertices
 
 
 def _signature(p: Poset):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,13 @@ from posheaf.cli import main
 from posheaf.cohomology import sheaf_cohomology
 from posheaf.documents import parse_space, space_to_data
 from posheaf.exact_linalg import QQ
-from posheaf.fixtures import bing_house_poset, circle_with_apex, face_poset, four_point_circle
+from posheaf.fixtures import (
+    bing_house_poset,
+    bing_house_with_apexes,
+    circle_with_apex,
+    face_poset,
+    four_point_circle,
+)
 from posheaf.poset import build_poset, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf
 from test_cohomology import RP2
@@ -31,6 +38,17 @@ def circle_doc(field="Q"):
         "elements": ["a", "b", "x", "y"],
         "covers": [["a", "x"], ["a", "y"], ["b", "x"], ["b", "y"]],
     }
+
+
+def poset_doc(p, field="Q"):
+    """The constant rank-1 sheaf on a poset."""
+    return {"field": field, "elements": list(p.elements), "covers": sorted(p.covers)}
+
+
+def chain_doc(n, field="GF:7"):
+    names = [f"c{i:04d}" for i in range(n)]
+    return {"field": field, "elements": names,
+            "covers": [[u, v] for u, v in zip(names, names[1:])]}
 
 
 def two_chain_doc():
@@ -169,6 +187,63 @@ class TestCohomology:
     def test_explicit_sheaf(self, tmp_path, capsys):
         assert main(["cohomology", write_doc(tmp_path, two_chain_doc())]) == 0
         assert json.loads(capsys.readouterr().out)["betti"] == [1]
+
+    @pytest.mark.parametrize("command, field, calls", [
+        (["cohomology"], "Q", 0),
+        (["simplify", "--strategy", "acyclic-down"], "GF:7", 1),
+    ], ids=["house", "house-with-apexes"])
+    def test_roos_only_off_face_posets(self, tmp_path, capsys, monkeypatch,
+                                       command, field, calls):
+        # the house is a simplicial face poset; with its apexes it is not,
+        # so only the "before" side of the certification builds Roos
+        built = []
+        roos = cohomology_module.roos_complex
+        monkeypatch.setattr(cohomology_module, "roos_complex",
+                            lambda sp: built.append(sp) or roos(sp))
+        monkeypatch.setattr(cli, "_ms", lambda t0: 0)
+        p = bing_house_poset() if calls == 0 else bing_house_with_apexes()
+        path = write_doc(tmp_path, poset_doc(p, field))
+        assert main([command[0], path, *command[1:]]) == 0
+        out = capsys.readouterr().out
+        assert len(built) == calls
+        if calls == 0:
+            report = {
+                "generator": {"tool": "posheaf", "version": __version__},
+                "betti": [1],
+                "sizes": {"elements": 399},
+                "timing_ms": 0,
+            }
+            assert out == json.dumps(report, indent=2) + "\n"
+        else:
+            report = json.loads(out)
+            assert report["certified"] is True
+            assert report["betti"] == report["betti_after"] == [1]
+            assert report["sizes"] == {"before": 401, "after": 399}
+            assert built[0].poset == p
+
+
+class TestInputTooLarge:
+    """An order complex over poset.MAX_CHAINS chains exits 5, untraced."""
+
+    @pytest.mark.parametrize("command, field", [
+        ("cohomology", "GF:7"), ("homology", "Z"),
+    ])
+    def test_long_chain(self, tmp_path, capsys, command, field):
+        # 1,100 elements: listing chains recursively overflowed the stack
+        path = write_doc(tmp_path, chain_doc(1100, field))
+        assert main([command, path]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input too large") and "Traceback" not in captured.err
+
+    def test_core_refuses_before_enumerating(self, tmp_path, capsys):
+        path = write_doc(tmp_path, chain_doc(100))
+        t0 = time.monotonic()
+        assert main(["core", path]) == 5
+        assert time.monotonic() - t0 < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input too large") and "Traceback" not in captured.err
 
 
 class TestHomology:
@@ -362,4 +437,4 @@ COMMANDS = [["validate"], ["cohomology"], ["homology"], ["core"]] + [
 def test_hostile_documents_exit_with_documented_codes(tmp_path_factory, data):
     path = write_doc(tmp_path_factory.getbasetemp(), data, name="fuzz.json")
     for command in COMMANDS:
-        assert main([command[0], path, *command[1:]]) in {0, 1, 2, 3, 4}, command
+        assert main([command[0], path, *command[1:]]) in {0, 1, 2, 3, 4, 5}, command

@@ -9,11 +9,14 @@ coefficients.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import random_poset, random_sheaf
 from posheaf.cohomology import (
     CochainComplex,
     ComplexError,
+    cellular_complex,
     field_cohomology,
     integral_homology,
     is_acyclic,
@@ -23,6 +26,8 @@ from posheaf.cohomology import (
 )
 from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.fixtures import (
+    bing_house_poset,
+    bing_house_with_apexes,
     circle_with_apex,
     four_point_circle,
     p5_gadget,
@@ -30,7 +35,7 @@ from posheaf.fixtures import (
     p5_poset,
     simplicial_complex,
 )
-from posheaf.poset import build_poset, order_complex
+from posheaf.poset import build_poset, order_complex, simplicial_vertices
 from posheaf.sheaf import (
     SheavedSpace,
     constant_sheaf,
@@ -135,6 +140,77 @@ class TestSheafCohomology:
             k = order_complex(p)
             hs = field_cohomology(simplicial_cochain_complex(k, ring))
             assert h.betti_trimmed() == hs.betti_trimmed()
+
+
+def random_facets(rng):
+    """Up to 8 random simplices of dimension <= 3 on 3 to 7 vertices."""
+    vertices = [str(v) for v in range(rng.randint(3, 7))]
+    return [tuple(rng.sample(vertices, rng.randint(1, min(len(vertices), 4))))
+            for _ in range(rng.randint(1, 8))]
+
+
+def check_cellular_against_roos(p, f):
+    """The cellular route agrees with the Roos complex, degree for degree."""
+    sp = space(p, f)
+    vertices = simplicial_vertices(p)
+    assert vertices is not None
+    cellular = cellular_complex(sp, vertices)
+    assert cellular.degrees == tuple(
+        sum(f.stalk_dim[x] for x in p.elements if len(vertices[x]) == j + 1)
+        for j in range(len(cellular.degrees)))
+    h = sheaf_cohomology(sp)
+    assert h == field_cohomology(cellular)
+    assert h.betti == field_cohomology(roos_complex(sp)).betti
+
+
+def digon():
+    """The boundary of the triangle abc with a second edge on a and b:
+    every downset has the right size, but two edges share their vertices."""
+    p = face_poset([("a", "b"), ("b", "c"), ("a", "c")])
+    return build_poset(p.elements + ("ab",), p.covers | {("a", "ab"), ("b", "ab")})
+
+
+class TestCellularRoute:
+    def test_recognises_the_house(self):
+        p = bing_house_poset()
+        vertices = simplicial_vertices(p)
+        assert vertices == {x: frozenset(x.split("|")) for x in p.elements}
+
+    @pytest.mark.parametrize("poset", [
+        four_point_circle,
+        bing_house_with_apexes,
+        lambda: build_poset(["a", "b"], [("a", "b")]),
+        digon,
+        lambda: build_poset([], []),
+        # V is one to one, but the triangle's downset lacks its edges
+        lambda: build_poset(["a", "b", "c", "abc"], [("a", "abc"), ("b", "abc"), ("c", "abc")]),
+    ], ids=["circle", "house-with-apexes", "2-chain", "digon", "empty", "bare-triangle"])
+    def test_rejects_non_simplicial(self, poset):
+        assert simplicial_vertices(poset()) is None
+
+    def test_random_gauged_sheaves_seeded(self):
+        rng = random.Random(61)
+        for _ in range(120):
+            p = face_poset(random_facets(rng))
+            check_cellular_against_roos(p, random_sheaf(rng, p, rng.choice([QQ, GF(2), GF(7)])))
+
+    def test_house_random_sheaf(self):
+        rng = random.Random(67)
+        p = bing_house_poset()
+        check_cellular_against_roos(p, random_sheaf(rng, p, GF(7)))
+
+    @given(
+        facets=st.integers(3, 7).flatmap(lambda n: st.lists(
+            st.lists(st.sampled_from([str(v) for v in range(n)]),
+                     min_size=1, max_size=4, unique=True),
+            min_size=1, max_size=8)),
+        seed=st.integers(0, 10**6),
+        ring=st.sampled_from([QQ, GF(2), GF(7)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_gauged_sheaves(self, facets, seed, ring):
+        p = face_poset(facets)
+        check_cellular_against_roos(p, random_sheaf(random.Random(seed), p, ring))
 
 
 class TestComplexValidation:

@@ -11,6 +11,8 @@ from posheaf.fixtures import (
     p5_poset,
 )
 from posheaf.poset import (
+    MAX_CHAINS,
+    ChainCountError,
     CycleError,
     IsomorphismSizeError,
     Poset,
@@ -18,6 +20,7 @@ from posheaf.poset import (
     UnknownElementError,
     _remove_beat,
     build_poset,
+    chain_count,
     collapses_to_point,
     downset,
     induced_subposet,
@@ -243,6 +246,25 @@ class TestOrderComplex:
                 for s in k.simplices[d]:
                     for i in range(len(s)):
                         assert s[:i] + s[i + 1:] in lower
+
+    def test_levels_sorted_and_counted_ahead(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            p = random_poset(rng, rng.randint(0, 9))
+            k = order_complex(p)
+            assert all(list(level) == sorted(level) for level in k.simplices)
+            assert chain_count(p) == sum(k.counts())
+
+    def test_chain_budget(self):
+        # an n-chain has 2^n - 1 chains; MAX_CHAINS is 2^16
+        names = [f"c{i:04d}" for i in range(1100)]
+        assert sum(order_complex(chain(*names[:16])).counts()) == 2 ** 16 - 1 <= MAX_CHAINS
+        with pytest.raises(ChainCountError):
+            order_complex(chain(*names[:17]))
+        # the count stops soon after the budget, with a lower bound
+        assert MAX_CHAINS < chain_count(chain(*names)) < 2 ** 18
+        with pytest.raises(ChainCountError):
+            order_complex(chain(*names))
 
     def test_chains_increasing(self):
         p = four_point_circle()
