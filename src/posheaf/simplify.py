@@ -33,6 +33,10 @@ class SimplifyError(Exception):
     pass
 
 
+class ReplayError(SimplifyError):
+    """A trace that its replay refuses or does not reproduce."""
+
+
 DOWNBEAT = "downbeat"
 UPBEAT = "upbeat"
 ACYCLIC_DOWNSET = "acyclic-downset"
@@ -112,12 +116,15 @@ class SimplificationTrace:
 
     def replay(self) -> SheavedSpace:
         """Re-run every removal from the initial space, re-checking the
-        recorded rule and its validity; returns the final space.  A
-        restriction of a constant sheaf is constant: check that once."""
+        recorded rule and its validity; returns the final space or raises
+        `ReplayError`.  Constancy is inherited by restriction: check once."""
         sp = self.initial
         constant = is_constant(sp.sheaf)
-        for step in self.steps:
-            sp = _checked_removal(sp, step.removed, (step.rule,), constant)
+        try:
+            for step in self.steps:
+                sp = _checked_removal(sp, step.removed, (step.rule,), constant)
+        except SimplifyError as e:
+            raise ReplayError(f"replay refused the trace: {e}") from e
         return sp
 
 
@@ -205,7 +212,7 @@ def simplify_pipeline(
 ) -> tuple[SheavedSpace, SimplificationTrace]:
     """Greedy removal loop: beats first, then the strategy's pass rules
     (see STRATEGY_RULES); `constant-updown` requires a constant sheaf.
-    The emitted trace is re-verified by replay before returning.
+    The trace is replayed before returning (`ReplayError` if refused).
     """
     if strategy not in STRATEGY_RULES:
         raise SimplifyError(f"unknown strategy {strategy!r}")
@@ -214,5 +221,5 @@ def simplify_pipeline(
         raise SimplifyError(f"{strategy} strategy requires a constant sheaf")
     out, trace = _greedy(sp, rules, rng)
     if trace.replay() != out:
-        raise SimplifyError("trace verification failed to reproduce the result")
+        raise ReplayError("replay did not reproduce the result")
     return out, trace

@@ -10,10 +10,11 @@ from gen import random_poset, random_sheaf, random_space
 from posheaf import __version__, cli
 from posheaf import cohomology as cohomology_module
 from posheaf import sheaf as sheaf_module
+from posheaf import simplify as simplify_module
 from posheaf.cli import main
-from posheaf.cohomology import sheaf_cohomology
+from posheaf.cohomology import integral_homology, sheaf_cohomology
 from posheaf.documents import parse_space, space_to_data
-from posheaf.exact_linalg import QQ
+from posheaf.exact_linalg import GF, QQ
 from posheaf.fixtures import (
     bing_house_poset,
     bing_house_with_apexes,
@@ -23,6 +24,7 @@ from posheaf.fixtures import (
 )
 from posheaf.poset import build_poset, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf
+from posheaf.simplify import SimplificationTrace, TraceStep
 from test_cohomology import RP2
 
 
@@ -49,6 +51,19 @@ def chain_doc(n, field="GF:7"):
     names = [f"c{i:04d}" for i in range(n)]
     return {"field": field, "elements": names,
             "covers": [[u, v] for u, v in zip(names, names[1:])]}
+
+
+def antichain_sum_doc(layers, field="GF:7"):
+    """The ordinal sum of `layers` two-element antichains.
+
+    No element is a beat and every Moebius value is nonzero, so no rule
+    removes anything.  Both elements of a layer above the first have the
+    same atoms, so it is no simplicial face poset: its cohomology needs
+    all 3^layers - 1 chains.
+    """
+    layer = [[f"l{i:02d}{s}" for s in "ab"] for i in range(layers)]
+    return {"field": field, "elements": [e for pair in layer for e in pair],
+            "covers": [[u, v] for lo, hi in zip(layer, layer[1:]) for u in lo for v in hi]}
 
 
 def two_chain_doc():
@@ -188,42 +203,56 @@ class TestCohomology:
         assert main(["cohomology", write_doc(tmp_path, two_chain_doc())]) == 0
         assert json.loads(capsys.readouterr().out)["betti"] == [1]
 
-    @pytest.mark.parametrize("command, field, calls", [
-        (["cohomology"], "Q", 0),
-        (["simplify", "--strategy", "acyclic-down"], "GF:7", 1),
+    @pytest.mark.parametrize("command, field, poset", [
+        (["cohomology"], "Q", bing_house_poset),
+        (["simplify", "--strategy", "acyclic-down"], "GF:7", bing_house_with_apexes),
     ], ids=["house", "house-with-apexes"])
     def test_roos_only_off_face_posets(self, tmp_path, capsys, monkeypatch,
-                                       command, field, calls):
+                                       command, field, poset):
         # the house is a simplicial face poset; with its apexes it is not,
-        # so only the "before" side of the certification builds Roos
+        # but simplify computes cohomology only after removing them
         built = []
         roos = cohomology_module.roos_complex
         monkeypatch.setattr(cohomology_module, "roos_complex",
                             lambda sp: built.append(sp) or roos(sp))
         monkeypatch.setattr(cli, "_ms", lambda t0: 0)
-        p = bing_house_poset() if calls == 0 else bing_house_with_apexes()
-        path = write_doc(tmp_path, poset_doc(p, field))
+        path = write_doc(tmp_path, poset_doc(poset(), field))
         assert main([command[0], path, *command[1:]]) == 0
-        out = capsys.readouterr().out
-        assert len(built) == calls
-        if calls == 0:
+        assert built == []
+        generator = {"tool": "posheaf", "version": __version__}
+        if command == ["cohomology"]:
             report = {
-                "generator": {"tool": "posheaf", "version": __version__},
+                "generator": generator,
                 "betti": [1],
                 "sizes": {"elements": 399},
                 "timing_ms": 0,
             }
-            assert out == json.dumps(report, indent=2) + "\n"
         else:
-            report = json.loads(out)
-            assert report["certified"] is True
-            assert report["betti"] == report["betti_after"] == [1]
-            assert report["sizes"] == {"before": 401, "after": 399}
-            assert built[0].poset == p
+            generator["strategy"] = "acyclic-down"
+            house = bing_house_poset()
+            report = {
+                "generator": generator,
+                "betti": [1],
+                "betti_after": [1],
+                "certified": True,
+                "trace": [{"removed": a, "rule": "acyclic-downset"} for a in ("apexU", "apexV")],
+                "sizes": {"before": 401, "after": 399},
+                "timing_ms": 0,
+                "document": space_to_data(SheavedSpace(house, constant_sheaf(house, GF(7))),
+                                          field, generator=generator),
+            }
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
 class TestInputTooLarge:
-    """An order complex over poset.MAX_CHAINS chains exits 5, untraced."""
+    """An order complex over poset.MAX_CHAINS chains exits 5, untraced.
+    `simplify` and `core` build one only for the reduced space."""
+
+    @staticmethod
+    def assert_refused(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input too large") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command, field", [
         ("cohomology", "GF:7"), ("homology", "Z"),
@@ -232,18 +261,29 @@ class TestInputTooLarge:
         # 1,100 elements: listing chains recursively overflowed the stack
         path = write_doc(tmp_path, chain_doc(1100, field))
         assert main([command, path]) == 5
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("input too large") and "Traceback" not in captured.err
+        self.assert_refused(capsys)
 
-    def test_core_refuses_before_enumerating(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, field", [
+        (["cohomology"], "GF:7"),
+        (["homology"], "Z"),
+        (["core"], "GF:7"),
+        (["simplify", "--strategy", "acyclic-down"], "GF:7"),
+    ], ids=["cohomology", "homology", "core", "simplify-acyclic-down"])
+    def test_beat_free_antichain_sum(self, tmp_path, capsys, command, field):
+        # 22 elements and 3^11 - 1 = 177,146 chains; nothing is removed
+        path = write_doc(tmp_path, antichain_sum_doc(11, field))
+        assert main([command[0], path, *command[1:]]) == 5
+        self.assert_refused(capsys)
+
+    def test_core_collapses_long_chain(self, tmp_path, capsys):
+        # 2^100 - 1 chains, but core computes the cohomology of one point
         path = write_doc(tmp_path, chain_doc(100))
         t0 = time.monotonic()
-        assert main(["core", path]) == 5
+        assert main(["core", path]) == 0
         assert time.monotonic() - t0 < 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("input too large") and "Traceback" not in captured.err
+        report = json.loads(capsys.readouterr().out)
+        assert report["sizes"] == {"before": 100, "after": 1}
+        assert report["betti"] == report["betti_after"] == [1]
 
 
 class TestHomology:
@@ -377,15 +417,51 @@ class TestSimplifyAndCore:
         assert captured.out == ""
         assert not (tmp_path / "out.json").exists()
 
-    def test_random_spaces_certify(self, tmp_path, capsys):
+    @pytest.mark.parametrize("steps", [(TraceStep("a", "downbeat"),), ()],
+                             ids=["refused-step", "other-result"])
+    def test_refused_replay_exits_4(self, tmp_path, capsys, monkeypatch, steps):
+        # the circle has no beat, and "a" is minimal, so not a downbeat
+        def greedy(sp, rules, rng):
+            out = simplify_module._without(sp, "a")
+            return out, SimplificationTrace(steps, sp, out)
+
+        monkeypatch.setattr(simplify_module, "_greedy", greedy)
+        out = tmp_path / "out.json"
+        assert main(["core", write_doc(tmp_path, circle_doc()), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("certification failed: replay")
+        assert not out.exists()
+
+    def test_random_spaces_certify(self, tmp_path, capsys, monkeypatch):
+        """The reported groups are the unreduced input's, computed here;
+        a run computes only those of the reduced space."""
+        calls = []
+        certify = cli._cohomology_for_certification
+        monkeypatch.setattr(cli, "_cohomology_for_certification",
+                            lambda doc, sp: calls.append(sp) or certify(doc, sp))
         rng = random.Random(83)
-        for i in range(10):
-            p = random_poset(rng, rng.randint(1, 7))
-            f = random_sheaf(rng, p, QQ)
-            data = space_to_data(SheavedSpace(p, f), "Q")
+        fields = [(QQ, "Q", ["core"]),
+                  (GF(7), "GF:7", ["simplify", "--strategy", "acyclic-down"]),
+                  (None, "Z", ["simplify", "--strategy", "constant-updown"])]
+        runs = [fields[i % 3] + (random_poset(rng, rng.randint(1, 7)),) for i in range(30)]
+        runs.append(fields[2] + (face_poset(RP2),))  # H_1 has torsion Z/2
+        for i, (ring, tag, command, p) in enumerate(runs):
+            if ring is None:
+                data, h = poset_doc(p, tag), integral_homology(order_complex(p))
+            else:
+                sp = SheavedSpace(p, random_sheaf(rng, p, ring))
+                data, h = space_to_data(sp, tag), sheaf_cohomology(sp)
             path = write_doc(tmp_path, data, name=f"r{i}.json")
-            assert main(["simplify", path, "--strategy", "acyclic-down"]) == 0
-            assert json.loads(capsys.readouterr().out)["certified"] is True
+            assert main([command[0], path, *command[1:]]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["certified"] is True
+            assert report["betti"] == report["betti_after"] == list(h.betti_trimmed())
+            if ring is None:
+                torsion = [list(t) for t in h.torsion_trimmed()]
+                assert report["torsion"] == report["torsion_after"] == torsion
+            assert [len(c.poset) for c in calls] == [report["sizes"]["after"]]
+            calls.clear()
 
 
 class TestRoundTrip:
