@@ -5,8 +5,9 @@ transitive reduction of the order.  :func:`build_poset` is the one way
 to make a poset: it validates the covers and computes, once, the cover
 tables and the strict up- and down-closure of every element.  Posets
 are immutable after construction, apart from the tables they compute on
-first use; every derived poset (downsets, upsets, element removal) goes
-through :func:`build_poset` again.
+first use.  Downsets and upsets go through :func:`build_poset` again;
+:func:`remove_element` derives the tables without one element from its
+parent's, changing only the entries of the elements comparable to it.
 
 Two acyclicity certificates need no linear algebra: the Moebius function
 (:meth:`Poset.mobius`) rejects, and a beat collapse to a point
@@ -17,6 +18,7 @@ counts the chains before it lists them and refuses more than MAX_CHAINS.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Hashable, Iterable, Optional, Sequence
 
 
@@ -183,7 +185,7 @@ def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
-        dupes = sorted({e for e in elements if list(elements).count(e) > 1})
+        dupes = sorted(e for e, k in Counter(elements).items() if k > 1)
         raise PosetError(f"duplicate element names: {dupes}")
     known = set(elements)
     covers = frozenset(tuple(c) for c in covers)
@@ -261,8 +263,38 @@ def upset(p: Poset, s) -> Poset:
 
 
 def remove_element(p: Poset, s) -> Poset:
+    """The subposet without s, derived from p's tables without a rebuild.
+
+    A lower cover a and an upper cover b of s become a cover unless
+    another upper cover of a lies below b; every other cover stays, and
+    s leaves the closures of the elements comparable to it.  The result
+    shares p's acyclicity verdicts.
+    """
     p._check(s)
-    return induced_subposet(p, set(p.elements) - {s})
+    lower, upper = p._lower[s], p._upper[s]
+    bridges = [(a, b) for a in lower for b in upper
+               if not any(b in p._above[w] for w in p._upper[a] if w != s)]
+    gone = [(a, s) for a in lower] + [(s, b) for b in upper]
+    ups = dict(p._upper)
+    lows = dict(p._lower)
+    del ups[s], lows[s]
+    for a in lower:
+        ups[a] = tuple(sorted([w for w in ups[a] if w != s]
+                              + [b for (x, b) in bridges if x == a]))
+    for b in upper:
+        lows[b] = tuple(sorted([w for w in lows[b] if w != s]
+                               + [a for (a, y) in bridges if y == b]))
+    above = dict(p._above)
+    below = dict(p._below)
+    del above[s], below[s]
+    for x in p._below[s]:
+        above[x] = above[x] - {s}
+    for y in p._above[s]:
+        below[y] = below[y] - {s}
+    q = Poset(tuple(e for e in p.elements if e != s),
+              p.covers.difference(gone).union(bridges), ups, lows, above, below)
+    q._acyclic = p._acyclic
+    return q
 
 
 def _remove_beat(p: Poset, x, lower: dict, upper: dict) -> list:
@@ -453,8 +485,6 @@ def posets_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
     if sorted(sp.values()) != sorted(sq.values()):
         return None
     # assign rarest-signature elements first
-    from collections import Counter
-
     freq = Counter(sp.values())
     order = sorted(p.elements, key=lambda e: (freq[sp[e]], e))
     candidates = {e: [f for f in q.elements if sq[f] == sp[e]] for e in p.elements}

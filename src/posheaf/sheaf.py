@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .exact_linalg import Matrix, PrimeField, Rationals, compose, kernel_basis
-from .poset import Poset, induced_subposet, leq
+from .poset import Poset, leq, remove_element
 
 
 class SheafError(Exception):
@@ -279,25 +279,22 @@ def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
 
     Maps of induced covers are composites along cover paths of the
     original poset; commutativity makes them well defined, so the sheaf
-    must commute (else :class:`CommutativityError`).  The restriction
-    inherits the parent's composites for kept pairs and is verified.
+    must commute (else :class:`CommutativityError`).  The subposet drops
+    one element at a time (:func:`remove_element`), in element order.
+    The restriction shares the parent's composite table, whose pairs
+    with a removed element it never looks up, and is verified.
     """
     f = sp.sheaf
     require_commutative(f)
-    sub = induced_subposet(sp.poset, keep)
-    parent = f._canonical()
+    keep = set(keep)
+    sp.poset._check(*keep)
+    sub = sp.poset
+    for s in sp.poset.elements:
+        if s not in keep:
+            sub = remove_element(sub, s)
+    canon = f._canonical()
     dims = {e: f.stalk_dim[e] for e in sub.elements}
-    g = Sheaf(sub, f.ring, dims, {c: parent[c] for c in sub.covers})
-    # the parent's table minus every pair that involves a removed element
-    canon = dict(parent)
-    p = sp.poset
-    for s in p.elements:
-        if s not in sub:
-            del canon[(s, s)]
-            for u in p.strictly_below(s):
-                canon.pop((u, s), None)
-            for v in p.strictly_above(s):
-                canon.pop((s, v), None)
+    g = Sheaf(sub, f.ring, dims, {c: canon[c] for c in sub.covers})
     g._canon = canon
     g._verified = True
     return SheavedSpace(sub, g)

@@ -12,6 +12,7 @@ point accepts, and a Smith normal form decides the rest.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -172,14 +173,38 @@ def remove_acyclic_downset(sp: SheavedSpace, s) -> SheavedSpace:
 def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationTrace]:
     """Beats one at a time (lowest name first, or random with `rng`); when
     none is left, one pass over the elements (shuffled with `rng`) trying
-    `rules` in table order, then beats again.  No predicate runs twice."""
+    `rules` in table order, then beats again.  `find_beats` runs once: a
+    removal can change the beat status of the removed element's covers
+    only, so only they are tested again, before the next beat is chosen."""
     out, steps = sp, []
+    kinds = {b.element: b.kind for b in find_beats(sp)}
+    beats = sorted(kinds)  # what find_beats would list, by name
+    stale = set()  # elements whose covers changed since their last test
+
+    def drop(e):
+        if kinds.pop(e, None) is not None:
+            del beats[bisect.bisect_left(beats, e)]
+
+    def remove(e, rule):
+        nonlocal out
+        p = out.poset
+        out = _without(out, e)
+        steps.append(TraceStep(e, rule))
+        drop(e)
+        stale.update(p.lower_covers(e), p.upper_covers(e))
+        stale.discard(e)
+
     while True:
-        beats = find_beats(out)
+        for x in sorted(stale):
+            drop(x)
+            kind = _first_rule(out, x, BEATS)
+            if kind is not None:
+                kinds[x] = kind
+                bisect.insort(beats, x)
+        stale.clear()
         if beats:
-            b = rng.choice(beats) if rng is not None else beats[0]
-            out = _without(out, b.element)
-            steps.append(TraceStep(b.element, b.kind))
+            e = rng.choice(beats) if rng is not None else beats[0]
+            remove(e, kinds[e])
             continue
         candidates = sorted(out.poset.elements) if rules else []
         if rng is not None:
@@ -188,8 +213,7 @@ def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationT
         for e in candidates:
             rule = _first_rule(out, e, rules)
             if rule is not None:
-                out = _without(out, e)
-                steps.append(TraceStep(e, rule))
+                remove(e, rule)
         if len(steps) == before:
             break
     return out, SimplificationTrace(tuple(steps), sp, out)

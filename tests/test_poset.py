@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from posheaf.poset import (
     CycleError,
     IsomorphismSizeError,
     Poset,
+    PosetError,
     RedundantCoverError,
     UnknownElementError,
     _remove_beat,
@@ -62,6 +64,14 @@ class TestBuild:
     def test_duplicate_names(self):
         with pytest.raises(Exception):
             build_poset(["a", "a"], [])
+
+    def test_duplicates_among_many_names_are_found_in_linear_time(self):
+        names = [f"e{i:05d}" for i in range(80_000)]
+        t0 = time.perf_counter()
+        with pytest.raises(PosetError, match=r"duplicate element names: \['e00007', 'e12345'\]"):
+            build_poset(names + ["e12345", "e00007", "e12345"], [])
+        # counting each name's copies one name at a time took minutes here
+        assert time.perf_counter() - t0 < 2
 
     def test_empty_poset(self):
         p = build_poset([], [])
@@ -299,6 +309,31 @@ class TestRemove:
                     assert leq(q, u, v) == leq(p, u, v)
 
 
+class TestRemoveElementAgainstRebuild:
+    """`remove_element` derives its tables locally; the reference is the
+    subposet rebuilt by `induced_subposet` on every other element."""
+
+    def test_random_posets(self):
+        rng = random.Random(163)
+        for _ in range(150):
+            p = random_poset(rng, rng.randint(1, 14), edge_prob=rng.choice([None, 0.3, 0.6]))
+            while len(p):
+                s = rng.choice(p.elements)
+                q = remove_element(p, s)
+                fresh = induced_subposet(p, set(p.elements) - {s})
+                assert q.elements == fresh.elements
+                assert q.covers == fresh.covers
+                for e in q.elements:
+                    assert q.upper_covers(e) == fresh.upper_covers(e)
+                    assert q.lower_covers(e) == fresh.lower_covers(e)
+                    assert q.strictly_above(e) == fresh.strictly_above(e)
+                    assert q.strictly_below(e) == fresh.strictly_below(e)
+                assert q.mobius() == fresh.mobius()
+                assert q.mobius(dual=True) == fresh.mobius(dual=True)
+                assert q._acyclic is p._acyclic
+                p = q
+
+
 def reference_strict_order(elements, covers) -> set:
     """Pairs u < v: Warshall's transitive closure of the cover pairs."""
     lt = set(covers)
@@ -377,6 +412,5 @@ def test_derived_posets_revalidate():
         p = random_poset(rng, rng.randint(2, 9))
         s = rng.choice(p.elements)
         for q in (downset(p, s), upset(p, s), remove_element(p, s)):
-            # build_poset inside the operations re-runs full validation;
-            # reconstruct explicitly to be sure
+            # full validation of what each operation derived
             assert build_poset(q.elements, q.covers) == q
