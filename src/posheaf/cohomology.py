@@ -1,7 +1,8 @@
 """Cochain complexes and exact (co)homology.
 
-Sheaf cohomology comes from one of two complexes with the same
-cohomology.  On the face poset of a simplicial complex (recognised by
+Sheaf cohomology is computed on the beat core of the space, which has
+the same cohomology, from one of two complexes with that cohomology.
+On the face poset of a simplicial complex (recognised by
 :func:`~posheaf.poset.simplicial_vertices`) it is the cellular complex:
 each face contributes its stalk once.  On any other poset it is the Roos
 complex: each chain contributes the stalk at its top element.  Both are
@@ -192,11 +193,33 @@ def field_cohomology(c: CochainComplex) -> HomologyResult:
 
 
 def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
-    """Sheaf cohomology (unreduced): from the cellular complex on a
-    simplicial face poset, from the Roos complex on any other poset."""
-    vertices = simplicial_vertices(sp.poset)
-    c = roos_complex(sp) if vertices is None else cellular_complex(sp, vertices)
-    return field_cohomology(c)
+    """Sheaf cohomology (unreduced), computed on the beat core.
+
+    Removing a beat keeps sheaf cohomology, so the complex is built only
+    for :func:`~posheaf.simplify.core` of the space: the cellular complex
+    if the core is a simplicial face poset, the Roos complex otherwise.
+    The result has one degree per element of a longest chain of the
+    input, as the input's own complex would; the chain budget
+    (:class:`~posheaf.poset.ChainCountError`) applies to the core.
+    """
+    from .simplify import core  # simplify imports this module
+
+    reduced, trace = core(sp)
+    vertices = simplicial_vertices(reduced.poset)
+    c = roos_complex(reduced) if vertices is None else cellular_complex(reduced, vertices)
+    h = field_cohomology(c)
+    if not trace.steps:
+        return h
+    pad = _longest_chain(sp.poset) - len(h.betti)
+    return HomologyResult(h.betti + (0,) * pad, h.torsion + ((),) * pad)
+
+
+def _longest_chain(p) -> int:
+    """The number of elements in a longest chain of p."""
+    length = {}
+    for e in p.linear_extension():
+        length[e] = 1 + max((length[u] for u in p.lower_covers(e)), default=0)
+    return max(length.values(), default=0)
 
 
 def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:

@@ -62,16 +62,7 @@ class Sheaf:
         for cov in base.covers:
             if cov not in cover_maps:
                 raise SheafError(f"missing map for cover {cov!r}")
-            m = cover_maps[cov]
-            u, v = cov
-            if m.ring != ring:
-                raise SheafError(f"map for {cov!r} has ring {m.ring}, sheaf has {ring}")
-            if (m.rows, m.cols) != (sd[v], sd[u]):
-                raise SheafError(
-                    f"map for {cov!r} has shape {m.rows}x{m.cols}, "
-                    f"expected {sd[v]}x{sd[u]}"
-                )
-            cm[cov] = m
+            cm[cov] = _checked_map(cov, cover_maps[cov], ring, sd)
         extra = set(cover_maps) - set(base.covers)
         if extra:
             raise SheafError(f"maps for non-covers: {sorted(extra)}")
@@ -122,13 +113,26 @@ class Sheaf:
         return self._canon
 
 
+def _checked_map(cov, m: Matrix, ring, stalk_dim: Mapping) -> Matrix:
+    """m, if it has the sheaf's ring and the shape of cover cov's map."""
+    u, v = cov
+    if m.ring != ring:
+        raise SheafError(f"map for {cov!r} has ring {m.ring}, sheaf has {ring}")
+    if (m.rows, m.cols) != (stalk_dim[v], stalk_dim[u]):
+        raise SheafError(
+            f"map for {cov!r} has shape {m.rows}x{m.cols}, "
+            f"expected {stalk_dim[v]}x{stalk_dim[u]}"
+        )
+    return m
+
+
 class SheavedSpace:
     """A poset together with a sheaf on it."""
 
     __slots__ = ("poset", "sheaf")
 
     def __init__(self, poset: Poset, sheaf: Sheaf):
-        if sheaf.base != poset:
+        if sheaf.base is not poset and sheaf.base != poset:
             raise SheafError("sheaf base differs from the given poset")
         self.poset = poset
         self.sheaf = sheaf
@@ -282,7 +286,9 @@ def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
     must commute (else :class:`CommutativityError`).  The subposet drops
     one element at a time (:func:`remove_element`), in element order.
     The restriction shares the parent's composite table, whose pairs
-    with a removed element it never looks up, and is verified.
+    with a removed element it never looks up, and is verified.  It takes
+    the parent's validated stalks and maps as they are; only the maps of
+    new covers have their shapes checked.
     """
     f = sp.sheaf
     require_commutative(f)
@@ -294,7 +300,11 @@ def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
             sub = remove_element(sub, s)
     canon = f._canonical()
     dims = {e: f.stalk_dim[e] for e in sub.elements}
-    g = Sheaf(sub, f.ring, dims, {c: canon[c] for c in sub.covers})
+    maps = {c: canon[c] for c in sub.covers}
+    for c in sub.covers - sp.poset.covers:
+        _checked_map(c, maps[c], f.ring, dims)
+    g = object.__new__(Sheaf)
+    g.base, g.ring, g.stalk_dim, g.cover_maps = sub, f.ring, dims, maps
     g._canon = canon
     g._verified = True
     return SheavedSpace(sub, g)

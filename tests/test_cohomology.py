@@ -41,7 +41,9 @@ from posheaf.sheaf import (
     constant_sheaf,
     global_sections,
     skyscraper_sheaf,
+    strict_down_sheaf,
 )
+from posheaf.simplify import core, find_beats
 
 
 # the minimal 6-vertex triangulation of the real projective plane
@@ -211,6 +213,74 @@ class TestCellularRoute:
     def test_random_gauged_sheaves(self, facets, seed, ring):
         p = face_poset(facets)
         check_cellular_against_roos(p, random_sheaf(random.Random(seed), p, ring))
+
+
+def unreduced(sp):
+    """The slow reference: the Roos complex of the space as given."""
+    return field_cohomology(roos_complex(sp))
+
+
+def sheaves_on(rng, p, ring):
+    """A gauged random sheaf, and the constant, skyscraper and
+    strict-down sheaves at a random element."""
+    s = rng.choice(p.elements)
+    return [random_sheaf(rng, p, ring), constant_sheaf(p, ring, rng.randint(1, 2)),
+            skyscraper_sheaf(p, s, ring), strict_down_sheaf(p, s, ring)]
+
+
+def refused_upbeats(sp):
+    """Elements with a unique upper cover that `core` does not remove
+    there, because the map to that cover is not invertible."""
+    beats = {b.element for b in find_beats(sp)}
+    return [e for e in sp.poset.elements
+            if len(sp.poset.upper_covers(e)) == 1 and e not in beats]
+
+
+class TestComputedOnTheCore:
+    """`sheaf_cohomology` builds its complex on the beat core; the whole
+    result, padding included, equals the unreduced Roos computation."""
+
+    def test_seeded_suites(self):
+        rng = random.Random(211)
+        reduced = refused = 0
+        for _ in range(80):
+            p = random_poset(rng, rng.randint(1, 9))
+            for f in sheaves_on(rng, p, rng.choice([QQ, GF(2), GF(7)])):
+                sp = space(p, f)
+                assert sheaf_cohomology(sp) == unreduced(sp)
+                reduced += bool(core(sp)[1].steps)
+                refused += bool(refused_upbeats(sp))
+        assert reduced >= 240 and refused >= 70
+
+    @pytest.mark.parametrize("poset", [
+        circle_with_apex,
+        # a cone point over one facet is a downbeat
+        lambda: build_poset(face_poset(RP2).elements + ("apex",),
+                            face_poset(RP2).covers | {("1|2|6", "apex")}),
+    ], ids=["circle-with-apex", "rp2-with-apex"])
+    def test_route_switches_to_cellular_on_the_core(self, poset):
+        p = poset()
+        assert simplicial_vertices(p) is None
+        rng = random.Random(223)
+        for ring in (QQ, GF(2), GF(7)):
+            sp = space(p, constant_sheaf(p, ring))
+            assert simplicial_vertices(core(sp)[0].poset) is not None
+            assert sheaf_cohomology(sp) == unreduced(sp)
+            sp = space(p, random_sheaf(rng, p, ring))
+            assert sheaf_cohomology(sp) == unreduced(sp)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 9),
+        ring=st.sampled_from([QQ, GF(2), GF(7)]),
+        which=st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unreduced_roos(self, seed, n, ring, which):
+        rng = random.Random(seed)
+        p = random_poset(rng, n)
+        sp = space(p, sheaves_on(rng, p, ring)[which])
+        assert sheaf_cohomology(sp) == unreduced(sp)
 
 
 class TestComplexValidation:

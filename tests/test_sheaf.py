@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import random_poset, random_sheaf, random_space
+from posheaf import sheaf as sheaf_module
 from posheaf.exact_linalg import GF, QQ, Matrix, compose
 from posheaf.fixtures import four_point_circle, p5_poset
 from posheaf.poset import build_poset, downset, leq
@@ -48,11 +49,13 @@ def noncommuting_diamond():
 
 
 def assert_matches_fresh_copy(sp):
-    """A restriction's composites, read from the table it shares with its
-    parent, equal those a fresh copy of the same sheaf computes itself,
-    on every comparable pair, and that copy commutes."""
+    """A restriction, built without validation, equals the sheaf the
+    validating constructor builds from its tables; its composites, read
+    from the table it shares with its parent, equal those that fresh copy
+    computes itself, on every comparable pair, and that copy commutes."""
     g = sp.sheaf
-    fresh = Sheaf(sp.poset, g.ring, g.stalk_dim, g.cover_maps)
+    fresh = Sheaf(sp.poset, g.ring, dict(g.stalk_dim), dict(g.cover_maps))
+    assert g == fresh and g.base is sp.poset
     assert g._verified and g._canon is not None
     for u in sp.poset.elements:
         for v in (u, *sp.poset.strictly_above(u)):
@@ -265,6 +268,18 @@ class TestInheritedComposites:
                 sp = random_space(rng, random_poset(rng, rng.randint(1, 9)), ring)
                 keep = [e for e in sp.poset.elements if rng.random() < 0.6]
                 assert_matches_fresh_copy(restrict(sp, keep))
+
+    def test_only_new_covers_are_checked(self, monkeypatch):
+        p = diamond()
+        sp = SheavedSpace(p, constant_sheaf(p, QQ, 2))
+        checked = []
+        real = sheaf_module._checked_map
+        monkeypatch.setattr(sheaf_module, "_checked_map",
+                            lambda cov, *rest: checked.append(cov) or real(cov, *rest))
+        restrict(sp, ["bot", "l", "top"])  # every cover is the parent's
+        assert checked == []
+        restrict(sp, ["bot", "top"])
+        assert checked == [("bot", "top")]
 
     def test_chains_of_restrictions(self):
         rng = random.Random(103)

@@ -8,7 +8,12 @@ from gen import random_poset, random_sheaf, random_space
 from posheaf import sheaf as sheaf_module
 from posheaf import poset as poset_module
 from posheaf import simplify as simplify_module
-from posheaf.cohomology import is_acyclic, sheaf_cohomology
+from posheaf.cohomology import (
+    field_cohomology,
+    is_acyclic,
+    roos_complex,
+    sheaf_cohomology,
+)
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.fixtures import (
@@ -57,6 +62,12 @@ from posheaf.simplify import (
 
 def const_space(p, ring=QQ, r=1):
     return SheavedSpace(p, constant_sheaf(p, ring, r))
+
+
+def unreduced_betti(sp):
+    """Betti numbers from the Roos complex of the space as given, which
+    uses no removal rule (`sheaf_cohomology` works on the beat core)."""
+    return field_cohomology(roos_complex(sp)).betti_trimmed()
 
 
 def zigzag_poset(dual=False):
@@ -131,9 +142,9 @@ class TestCollapse:
             beats = find_beats(sp)
             if not beats:
                 continue
-            before = sheaf_cohomology(sp).betti_trimmed()
-            after = sheaf_cohomology(collapse_beat(sp, rng.choice(beats).element))
-            assert after.betti_trimmed() == before
+            before = unreduced_betti(sp)
+            after = unreduced_betti(collapse_beat(sp, rng.choice(beats).element))
+            assert after == before
             checked += 1
         assert checked >= 10
 
@@ -199,8 +210,8 @@ class TestAcyclicRemovals:
             if not cands:
                 continue
             s = rng.choice(cands)
-            before = sheaf_cohomology(sp).betti_trimmed()
-            after = sheaf_cohomology(remove_acyclic_downset(sp, s)).betti_trimmed()
+            before = unreduced_betti(sp)
+            after = unreduced_betti(remove_acyclic_downset(sp, s))
             assert after == before
             checked += 1
         assert checked >= 15
@@ -305,7 +316,7 @@ class TestPipeline:
             p = random_poset(rng, rng.randint(1, 8))
             f = random_sheaf(rng, p, rng.choice([QQ, GF(3)]))
             sp = SheavedSpace(p, f)
-            before = sheaf_cohomology(sp).betti_trimmed()
+            before = unreduced_betti(sp)
             for strategy in ("beats", "acyclic-down"):
                 out, trace = simplify_pipeline(sp, strategy=strategy)
                 assert sheaf_cohomology(out).betti_trimmed() == before
@@ -316,7 +327,7 @@ class TestPipeline:
         for _ in range(25):
             p = random_poset(rng, rng.randint(1, 9))
             sp = const_space(p, rng.choice([QQ, GF(2)]))
-            before = sheaf_cohomology(sp).betti_trimmed()
+            before = unreduced_betti(sp)
             out, _ = simplify_pipeline(sp, strategy="constant-updown")
             assert sheaf_cohomology(out).betti_trimmed() == before
 
