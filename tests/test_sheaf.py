@@ -54,7 +54,7 @@ def assert_matches_fresh_copy(sp):
     from the table it shares with its parent, equal those that fresh copy
     computes itself, on every comparable pair, and that copy commutes."""
     g = sp.sheaf
-    fresh = Sheaf(sp.poset, g.ring, dict(g.stalk_dim), dict(g.cover_maps))
+    fresh = Sheaf(sp.poset, g.ring, g.stalk_dim, g.cover_maps)
     assert g == fresh and g.base is sp.poset
     assert g._verified and g._canon is not None
     for u in sp.poset.elements:
