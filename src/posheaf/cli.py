@@ -4,7 +4,8 @@ Commands: validate, cohomology, homology, simplify, core.  Sheaf
 cohomology is computed on the beat core, with the cellular complex if
 the core is a simplicial face poset and the Roos complex otherwise.
 Reports go to stdout as JSON, diagnostics to stderr.  Exit codes:
-0 success, 1 usage, 2 parse/structure, 3 commutativity, 4 the replay
+0 success, 1 usage, 2 parse/structure, 3 commutativity (naming a pair
+u < v whose composites along two cover paths differ), 4 the replay
 refused the trace, 5 input too large (an order complex over
 `poset.MAX_CHAINS` chains; for `homology`, of the input; for
 `cohomology`, of the beat core; for `simplify` and `core`, of the

@@ -1,10 +1,10 @@
 """Sheaves on finite posets as commuting diagrams of linear maps.
 
 A sheaf assigns a stalk dimension to every element and a matrix to every
-Hasse cover edge, maps pointing upward; all composite maps between
-comparable elements must agree along every cover path.  Stalks carry no
-basis data beyond the matrix conventions: a cover map for (u, v) is a
-dim(v) x dim(u) matrix acting on column vectors.
+Hasse cover edge, maps pointing upward: for the cover (u, v), a
+dim(v) x dim(u) matrix acting on column vectors.  All composite maps
+between comparable elements must agree along every cover path; that is
+checked once per sheaf, on local squares.  Composites are made on first use.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ class Sheaf:
 
     Construction validates shapes only; call :func:`check_commutativity`
     (or build through a constructor in this module) to verify that the
-    diagram commutes.  A sheaf remembers a successful check, and a
-    restriction of a verified sheaf is verified by construction.
+    diagram commutes.  A sheaf remembers a successful check.  A
+    restriction of a verified sheaf is verified by construction and
+    shares its parent's memo of the composites made so far.
     """
 
-    __slots__ = ("base", "ring", "stalk_dim", "cover_maps", "_canon", "_verified")
+    __slots__ = ("base", "ring", "stalk_dim", "cover_maps", "_composites", "_verified")
 
     def __init__(self, base: Poset, ring, stalk_dim: Mapping, cover_maps: Mapping):
         if not isinstance(ring, (Rationals, PrimeField)):
@@ -67,7 +68,7 @@ class Sheaf:
         if extra:
             raise SheafError(f"maps for non-covers: {sorted(extra)}")
         self.cover_maps = cm
-        self._canon = None
+        self._composites = {}  # (x, v) -> composite x -> v, for x < v
         self._verified = False
 
     def __eq__(self, other):
@@ -86,31 +87,26 @@ class Sheaf:
         return sum(self.stalk_dim.values())
 
     def restriction(self, u, v) -> Matrix:
-        """The composite map u -> v for u <= v, along the canonical path.
+        """The composite map u -> v for u <= v, made on first use.
 
-        The canonical path recurses through the smallest-named lower
-        cover; commutativity makes the choice immaterial.
+        The path walks up from u, each step to the smallest-named upper
+        cover that lies below v; commutativity makes the choice
+        immaterial.  The composite x -> v of every x on the path is kept.
         """
         if not leq(self.base, u, v):
             raise SheafError(f"{u!r} is not below {v!r}")
-        return self._canonical()[(u, v)]
-
-    def _canonical(self) -> dict:
-        """Composite u -> v for every pair u <= v, in one walk over each
-        element's sorted lower covers: the first cover above u wins."""
-        if self._canon is None:
-            base = self.base
-            canon = {}
-            for v in base.linear_extension():
-                canon[(v, v)] = Matrix.identity(self.ring, self.stalk_dim[v])
-                for w in base.lower_covers(v):
-                    # no other lower cover of v lies above w, so w wins here
-                    m = canon[(w, v)] = self.cover_maps[(w, v)]
-                    for u in base.strictly_below(w):
-                        if (u, v) not in canon:
-                            canon[(u, v)] = compose(m, canon[(u, w)])
-            self._canon = canon
-        return self._canon
+        if u == v:
+            return Matrix.identity(self.ring, self.stalk_dim[v])
+        memo = self._composites
+        path = [u]
+        while path[-1] != v and (path[-1], v) not in memo:
+            path.append(next(w for w in self.base.upper_covers(path[-1])
+                             if w == v or v in self.base.strictly_above(w)))
+        m = memo.get((path[-1], v))
+        for x, w in zip(path[-2::-1], path[:0:-1]):
+            cover = self.cover_maps[(x, w)]
+            m = memo[(x, v)] = cover if w == v else compose(m, cover)
+        return m
 
 
 def _checked_map(cov, m: Matrix, ring, stalk_dim: Mapping) -> Matrix:
@@ -183,29 +179,30 @@ def check_commutativity(f: Sheaf) -> tuple[bool, Optional[CommutativityError]]:
 
 
 def _first_violation(f: Sheaf) -> Optional[CommutativityError]:
-    """The full sweep behind :func:`check_commutativity`.
+    """The sweep behind :func:`check_commutativity`: local squares only.
 
-    A canonical composite is fixed per comparable pair by a topological
-    sweep; every other single-step factoring is compared against it,
-    which by induction covers all cover paths.
+    For each u, each pair of upper covers w1 < w2 and each minimal common
+    upper bound v of the two, the composites u -> w1 -> v and
+    u -> w2 -> v must agree.  That is enough, by induction on the
+    interval: two cover paths from u to t that leave u through w1 and w2
+    can each be rerouted, by induction above w1 and w2, through such a
+    v <= t, where the square makes them agree.  A chain or a tree has no
+    such square.
     """
-    canon = f._canonical()
     base = f.base
-    for v in base.linear_extension():
-        factors = [(w, f.cover_maps[(w, v)], base.strictly_below(w))
-                   for w in base.lower_covers(v)]
-        for u in sorted(base.strictly_below(v)):
-            expected = canon[(u, v)]
-            canonical = True  # the first lower cover above u gave `expected`
-            for w, m, below_w in factors:
-                if u != w and u not in below_w:
-                    continue
-                if canonical:
-                    canonical = False
-                    continue
-                got = compose(m, canon[(u, w)])
-                if got != expected:
-                    return CommutativityError(u, v, expected, got)
+    for u in base.linear_extension():
+        ups = base.upper_covers(u)
+        through = {}  # (w, v) -> the composite u -> w -> v
+        for i, w1 in enumerate(ups):
+            for w2 in ups[i + 1:]:
+                common = base.strictly_above(w1) & base.strictly_above(w2)
+                for v in sorted(v for v in common
+                                if common.isdisjoint(base.strictly_below(v))):
+                    for w in (w1, w2):
+                        if (w, v) not in through:
+                            through[(w, v)] = compose(f.restriction(w, v), f.cover_maps[(u, w)])
+                    if through[(w1, v)] != through[(w2, v)]:
+                        return CommutativityError(u, v, through[(w1, v)], through[(w2, v)])
     return None
 
 
@@ -285,10 +282,10 @@ def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
     original poset; commutativity makes them well defined, so the sheaf
     must commute (else :class:`CommutativityError`).  The subposet drops
     one element at a time (:func:`remove_element`), in element order.
-    The restriction shares the parent's composite table, whose pairs
-    with a removed element it never looks up, and is verified.  It takes
-    the parent's validated stalks and maps as they are; only the maps of
-    new covers have their shapes checked.
+    The maps of new covers come from :meth:`Sheaf.restriction` and have
+    their shapes checked; the other stalks and maps are the parent's,
+    taken as they are.  The restriction is verified and shares the
+    parent's memo of composites, which hold in it too.
     """
     f = sp.sheaf
     require_commutative(f)
@@ -298,14 +295,13 @@ def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
     for s in sp.poset.elements:
         if s not in keep:
             sub = remove_element(sub, s)
-    canon = f._canonical()
     dims = {e: f.stalk_dim[e] for e in sub.elements}
-    maps = {c: canon[c] for c in sub.covers}
+    maps = {c: f.cover_maps[c] for c in sub.covers & sp.poset.covers}
     for c in sub.covers - sp.poset.covers:
-        _checked_map(c, maps[c], f.ring, dims)
+        maps[c] = _checked_map(c, f.restriction(*c), f.ring, dims)
     g = object.__new__(Sheaf)
     g.base, g.ring, g.stalk_dim, g.cover_maps = sub, f.ring, dims, maps
-    g._canon = canon
+    g._composites = f._composites
     g._verified = True
     return SheavedSpace(sub, g)
 

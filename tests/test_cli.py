@@ -122,6 +122,11 @@ class TestValidate:
         assert main(["validate", write_doc(tmp_path, circle_doc())]) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
+    def test_long_chain(self, tmp_path, capsys):
+        # 1,100 elements: the commutativity check has no square to compare
+        assert main(["validate", write_doc(tmp_path, chain_doc(1100))]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "invalid document" in capsys.readouterr().err

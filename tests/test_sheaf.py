@@ -51,17 +51,67 @@ def noncommuting_diamond():
 def assert_matches_fresh_copy(sp):
     """A restriction, built without validation, equals the sheaf the
     validating constructor builds from its tables; its composites, read
-    from the table it shares with its parent, equal those that fresh copy
+    from the memo it shares with its parent, equal those that fresh copy
     computes itself, on every comparable pair, and that copy commutes."""
     g = sp.sheaf
     fresh = Sheaf(sp.poset, g.ring, g.stalk_dim, g.cover_maps)
     assert g == fresh and g.base is sp.poset
-    assert g._verified and g._canon is not None
+    assert g._verified
     for u in sp.poset.elements:
         for v in (u, *sp.poset.strictly_above(u)):
             assert g.restriction(u, v) == fresh.restriction(u, v)
     ok, err = check_commutativity(fresh)
     assert ok, err
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """The list of calls sheaf.py makes to `compose`, one entry each."""
+    calls = []
+    real = sheaf_module.compose
+    monkeypatch.setattr(sheaf_module, "compose",
+                        lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+def path_composites(f):
+    """(u, v) -> the set of composites along every cover path from u up
+    to v: the slow reference for the local-square sweep."""
+    out = {}
+    for u in f.base.elements:
+        stack = [(u, Matrix.identity(f.ring, f.stalk_dim[u]))]
+        while stack:
+            x, m = stack.pop()
+            for w in f.base.upper_covers(x):
+                mw = compose(f.cover_maps[(x, w)], m)
+                out.setdefault((u, w), set()).add(mw)
+                stack.append((w, mw))
+    return out
+
+
+def perturbed(rng, f):
+    """f with one entry of one nonempty cover map raised by 1."""
+    covers = sorted(c for c, m in f.cover_maps.items() if m.rows and m.cols)
+    if not covers:
+        return f
+    c = rng.choice(covers)
+    entries = [list(row) for row in f.cover_maps[c].entries]
+    entries[rng.randrange(len(entries))][rng.randrange(len(entries[0]))] += 1
+    maps = dict(f.cover_maps)
+    maps[c] = Matrix(f.ring, len(entries), len(entries[0]), entries)
+    return Sheaf(f.base, f.ring, f.stalk_dim, maps)
+
+
+def assert_verdict_matches_paths(f) -> bool:
+    """check_commutativity agrees with composing every cover path, and a
+    reported pair has two distinct path composites; returns the verdict."""
+    composites = path_composites(f)
+    ok, err = check_commutativity(f)
+    assert ok == all(len(ms) == 1 for ms in composites.values())
+    if not ok:
+        assert err.left != err.right
+        assert {err.left, err.right} <= composites[(err.lower, err.upper)]
+    return ok
 
 
 class TestConstruction:
@@ -100,6 +150,15 @@ class TestCommutativity:
         with pytest.raises(CommutativityError):
             require_commutative(f)
 
+    def test_square_on_non_adjacent_upper_covers(self):
+        # u's upper covers a < b < c; only a and c meet, at m
+        p = build_poset(["u", "a", "b", "c", "m"],
+                        [("u", "a"), ("u", "b"), ("u", "c"), ("a", "m"), ("c", "m")])
+        maps = {c: Matrix.identity(QQ, 1) for c in p.covers}
+        maps[("c", "m")] = Matrix.from_rows(QQ, [[2]])
+        ok, err = check_commutativity(Sheaf(p, QQ, {e: 1 for e in p.elements}, maps))
+        assert not ok and (err.lower, err.upper) == ("u", "m")
+
     def test_failed_check_is_not_cached(self):
         f = noncommuting_diamond()
         assert check_commutativity(f)[0] is False
@@ -107,7 +166,7 @@ class TestCommutativity:
         assert not ok and (err.lower, err.upper) == ("bot", "top")
         assert not f._verified
 
-    def test_tree_always_commutes(self):
+    def test_tree_always_commutes(self, compose_calls):
         # a poset whose intervals all have a single factoring cannot fail
         p = build_poset(["r", "x", "y"], [("r", "x"), ("r", "y")])
         f = Sheaf(
@@ -118,6 +177,30 @@ class TestCommutativity:
         )
         ok, _ = check_commutativity(f)
         assert ok
+        assert compose_calls == []
+
+    def test_long_chain_composes_nothing(self, compose_calls):
+        # 1,100 elements: the sweep has no square to compare on a chain
+        p = build_poset([f"c{i:04d}" for i in range(1100)],
+                        [(f"c{i:04d}", f"c{i + 1:04d}") for i in range(1099)])
+        f = constant_sheaf(p, GF(7), 2)
+        assert check_commutativity(f) == (True, None)
+        assert compose_calls == []
+        # composed up from the bottom, one step at a time, without recursion
+        assert f.restriction("c0000", "c1099") == Matrix.identity(GF(7), 2)
+        assert len(compose_calls) == 1098
+
+    def test_dense_random_posets_match_every_path(self):
+        # one cover map entry perturbed in 80% of the sheaves
+        rng = random.Random(71)
+        verdicts = []
+        for ring in (QQ, GF(2), GF(7)):
+            for _ in range(200):
+                f = random_sheaf(rng, random_poset(rng, rng.randint(4, 10), 0.5), ring)
+                if rng.random() < 0.8:
+                    f = perturbed(rng, f)
+                verdicts.append(assert_verdict_matches_paths(f))
+        assert 0 < verdicts.count(False) < len(verdicts)
 
     def test_random_generated_commute(self):
         rng = random.Random(23)
@@ -126,6 +209,19 @@ class TestCommutativity:
             f = random_sheaf(rng, p, QQ)
             ok, err = check_commutativity(f)
             assert ok, err
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    ring=st.sampled_from([QQ, GF(2), GF(7)]),
+    n=st.integers(1, 10),
+    perturb=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_commutativity_matches_every_path(seed, ring, n, perturb):
+    rng = random.Random(seed)
+    f = random_sheaf(rng, random_poset(rng, n, 0.5), ring)
+    assert_verdict_matches_paths(perturbed(rng, f) if perturb else f)
 
 
 class TestRestrictionComposite:

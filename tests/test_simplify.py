@@ -388,9 +388,22 @@ def test_replay_refuses_invalid_step(space, step):
         SimplificationTrace((step,), sp, sp).replay()
 
 
-def test_checked_space_needs_no_new_composites(monkeypatch):
-    """Restrictions inherit the composites of a checked space, so the
-    pipeline and the cohomology of its result compose nothing in sheaf.py."""
+class RecordingMemo(dict):
+    """A composite memo that remembers every key written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = []
+
+    def __setitem__(self, key, value):
+        self.written.append(key)
+        super().__setitem__(key, value)
+
+
+def test_no_composite_is_made_twice(monkeypatch):
+    """Restrictions share the memo of a checked space, so across the
+    pipeline and the cohomology of its result every (u, v) composite is
+    made at most once, and sheaf.py composes only to make one."""
     rng = random.Random(107)
     spaces = []
     for _ in range(12):
@@ -398,42 +411,35 @@ def test_checked_space_needs_no_new_composites(monkeypatch):
         sp = random_space(rng, random_poset(rng, rng.randint(3, 9)), ring)
         sp = document_space(parse_space(space_to_data(sp, tag)))
         assert check_commutativity(sp.sheaf)[0]
+        sp.sheaf._composites = RecordingMemo()
         spaces.append(sp)
     calls = []
     compose = sheaf_module.compose
     monkeypatch.setattr(
         sheaf_module, "compose", lambda a, b: calls.append(1) or compose(a, b)
     )
-    removed = 0
+    removed = made = 0
     for sp in spaces:
+        memo = sp.sheaf._composites
         reduced, trace = simplify_pipeline(sp, "acyclic-down")
+        assert reduced.sheaf._composites is memo
         sheaf_cohomology(reduced)
         removed += len(trace.steps)
-    assert removed > 0
-    assert calls == []
+        assert len(set(memo.written)) == len(memo.written)
+        made += len(memo.written)
+    assert removed > 0 and made > 0
+    assert len(calls) <= made
 
 
 def _reference_restrict(sp, keep):
     """`restrict` as it was before removals became local: the subposet is
-    rebuilt by `induced_subposet`, and the child gets a copy of the
-    parent's composite table without the pairs of removed elements."""
+    rebuilt by `induced_subposet`, and the child is built and validated
+    by the `Sheaf` constructor from the parent's composites."""
     f = sp.sheaf
     require_commutative(f)
     sub = induced_subposet(sp.poset, keep)
-    parent = f._canonical()
     dims = {e: f.stalk_dim[e] for e in sub.elements}
-    g = Sheaf(sub, f.ring, dims, {c: parent[c] for c in sub.covers})
-    canon = dict(parent)
-    p = sp.poset
-    for s in p.elements:
-        if s not in sub:
-            del canon[(s, s)]
-            for u in p.strictly_below(s):
-                canon.pop((u, s), None)
-            for v in p.strictly_above(s):
-                canon.pop((s, v), None)
-    g._canon = canon
-    g._verified = True
+    g = Sheaf(sub, f.ring, dims, {c: f.restriction(*c) for c in sub.covers})
     return SheavedSpace(sub, g)
 
 
