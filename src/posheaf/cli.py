@@ -3,10 +3,13 @@
 Commands: validate, cohomology, homology, simplify, core.  Sheaf
 cohomology is computed on the beat core, with the cellular complex if
 the core is a simplicial face poset and the Roos complex otherwise.
+Every `simplify` strategy takes any sheaf; Z documents (the constant
+sheaf, certified by integral homology) take `core` and every strategy.
 Reports go to stdout as JSON, diagnostics to stderr.  Exit codes:
-0 success, 1 usage, 2 parse/structure, 3 commutativity (naming a pair
-u < v whose composites along two cover paths differ), 4 the replay
-refused the trace, 5 input too large (an order complex over
+0 success, 1 usage (also an `--out` path that cannot be written),
+2 parse/structure, 3 commutativity (naming a pair u < v whose
+composites along two cover paths differ), 4 the replay refused the
+trace, 5 input too large (an order complex over
 `poset.MAX_CHAINS` chains; for `homology`, of the input; for
 `cohomology`, of the beat core; for `simplify` and `core`, of the
 reduced space: the only spaces whose complexes they build).
@@ -38,9 +41,7 @@ from .sheaf import check_commutativity
 from .simplify import (
     STRATEGIES,
     STRATEGY_BEATS,
-    STRATEGY_CONSTANT_UPDOWN,
     ReplayError,
-    SimplifyError,
     simplify_pipeline,
 )
 
@@ -179,12 +180,6 @@ def _cohomology_for_certification(doc, sp) -> HomologyResult:
 
 def cmd_simplify(args) -> int:
     doc, sp = _load_commutative_space(args.path)
-    if doc.field_tag == "Z" and args.strategy != STRATEGY_CONSTANT_UPDOWN:
-        print(
-            "field 'Z' supports only the constant-updown strategy",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     rng = random.Random(args.seed) if args.seed is not None else None
     t0 = time.monotonic()
     try:
@@ -192,9 +187,6 @@ def cmd_simplify(args) -> int:
     except ReplayError as e:
         print(f"certification failed: {e}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except SimplifyError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
     # the replay re-checked every step: one cohomology serves both sides
     after = _cohomology_for_certification(doc, result)
     report = {
@@ -210,8 +202,12 @@ def cmd_simplify(args) -> int:
         report["torsion"] = report["torsion_after"] = _torsion_report(after)
     out_data = space_to_data(result, doc.field_tag, generator=_generator(args.strategy))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dump_json(out_data))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(dump_json(out_data))
+        except OSError as e:
+            print(f"cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         report["document"] = out_data
     print(dump_json(report), end="")

@@ -221,15 +221,6 @@ def constant_sheaf(p: Poset, ring, rank_: int = 1) -> Sheaf:
                  {c: eye for c in p.covers})
 
 
-def is_constant(f: Sheaf) -> bool:
-    dims = set(f.stalk_dim.values())
-    if len(dims) > 1:
-        return False
-    r = dims.pop() if dims else 0
-    eye = Matrix.identity(f.ring, r)
-    return all(m == eye for m in f.cover_maps.values())
-
-
 def ceil_sheaf(p: Poset, s, ring, w: int = 1) -> Sheaf:
     """Stalk W on every element <= s, identities inside the support."""
     p._check(s)

@@ -4,10 +4,12 @@ Each rule is one row of `RULES`.  Beat collapses follow the classical
 order-theoretic notion, with the sheaf-side requirement that an
 upbeat's unique outgoing restriction map is an isomorphism.  The
 acyclic-downset rule removes any element whose strict downset has the
-integral homology of a point; the up/down variant applies to constant
-coefficients only.  Acyclicity is decided by the cheapest certificate
-that settles it: a nonzero Moebius value rejects, a beat collapse to a
-point accepts, and a Smith normal form decides the rest.
+integral homology of a point; acyclic-upset does the same for the
+strict upset when every cover map on or above the element is
+invertible.  Each predicate is valid for any sheaf.  Acyclicity is
+decided by the cheapest certificate that settles it: a nonzero Moebius
+value rejects, a beat collapse to a point accepts, and a Smith normal
+form decides the rest.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .poset import (
     is_upbeat_poset,
     order_complex,
 )
-from .sheaf import SheavedSpace, is_constant, restrict
+from .sheaf import SheavedSpace, restrict
 
 
 class SimplifyError(Exception):
@@ -58,12 +60,16 @@ def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
     return verdicts[keep]
 
 
+def _invertible(sp: SheavedSpace, covers) -> bool:
+    """True iff the map of every cover in `covers` is square of full rank."""
+    ms = [sp.sheaf.cover_maps[c] for c in covers]
+    return all(m.is_square() and rank(m) == m.rows for m in ms)
+
+
 def _is_upbeat(sp: SheavedSpace, e) -> bool:
-    """A unique upper cover, reached by a square map of full rank."""
-    if not is_upbeat_poset(sp.poset, e):
-        return False
-    m = sp.sheaf.cover_maps[(e, sp.poset.upper_covers(e)[0])]
-    return m.is_square() and rank(m) == m.rows
+    """A unique upper cover, reached by an invertible map."""
+    p = sp.poset
+    return is_upbeat_poset(p, e) and _invertible(sp, [(e, p.upper_covers(e)[0])])
 
 
 def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:
@@ -71,17 +77,26 @@ def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:
     return _acyclic_closure(sp.poset, s)
 
 
+def removable_by_acyclic_upset(sp: SheavedSpace, s) -> bool:
+    """True iff the strict upset U of s has acyclic order complex and
+    every cover map on {s} and U is invertible: the sheaf there is then
+    isomorphic to the constant one with stalk F(s) = H*(U; F)."""
+    p = sp.poset
+    return _acyclic_closure(p, s, dual=True) and _invertible(
+        sp, [(u, v) for u in (s, *p.strictly_above(s)) for v in p.upper_covers(u)])
+
+
 def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
     """Down- or upset acyclicity; valid for constant coefficients only."""
     return _acyclic_closure(p, s) or _acyclic_closure(p, s, dual=True)
 
 
-# rule -> (predicate on a space and an element, valid for constant sheaves only)
+# rule -> its predicate on a space and an element
 RULES = {
-    DOWNBEAT: (lambda sp, e: is_downbeat(sp.poset, e), False),
-    UPBEAT: (_is_upbeat, False),
-    ACYCLIC_DOWNSET: (removable_by_acyclic_downset, False),
-    ACYCLIC_UPSET: (lambda sp, e: _acyclic_closure(sp.poset, e, dual=True), True),
+    DOWNBEAT: lambda sp, e: is_downbeat(sp.poset, e),
+    UPBEAT: _is_upbeat,
+    ACYCLIC_DOWNSET: removable_by_acyclic_downset,
+    ACYCLIC_UPSET: removable_by_acyclic_upset,
 }
 BEATS = (DOWNBEAT, UPBEAT)
 
@@ -118,12 +133,11 @@ class SimplificationTrace:
     def replay(self) -> SheavedSpace:
         """Re-run every removal from the initial space, re-checking the
         recorded rule and its validity; returns the final space or raises
-        `ReplayError`.  Constancy is inherited by restriction: check once."""
+        `ReplayError`."""
         sp = self.initial
-        constant = is_constant(sp.sheaf)
         try:
             for step in self.steps:
-                sp = _checked_removal(sp, step.removed, (step.rule,), constant)
+                sp = _checked_removal(sp, step.removed, (step.rule,))
         except SimplifyError as e:
             raise ReplayError(f"replay refused the trace: {e}") from e
         return sp
@@ -135,19 +149,16 @@ def _without(sp: SheavedSpace, e) -> SheavedSpace:
 
 def _first_rule(sp: SheavedSpace, e, rules) -> Optional[str]:
     for r in rules:
-        if RULES[r][0](sp, e):
+        if RULES[r](sp, e):
             return r
     return None
 
 
-def _checked_removal(sp: SheavedSpace, e, rules, constant: bool = False) -> SheavedSpace:
-    """Remove e if one of `rules` holds there; `constant` says whether
-    the sheaf is constant, which constant-only rules require."""
+def _checked_removal(sp: SheavedSpace, e, rules) -> SheavedSpace:
+    """Remove e if one of `rules` holds there."""
     for r in rules:
         if r not in RULES:
             raise SimplifyError(f"unknown rule {r!r}")
-        if RULES[r][1] and not constant:
-            raise SimplifyError(f"rule {r!r} requires a constant sheaf")
     if e not in sp.poset:
         raise SimplifyError(f"{e!r} is not an element; refusing to remove it")
     if _first_rule(sp, e, rules) is None:
@@ -235,15 +246,12 @@ def simplify_pipeline(
     rng: Optional[random.Random] = None,
 ) -> tuple[SheavedSpace, SimplificationTrace]:
     """Greedy removal loop: beats first, then the strategy's pass rules
-    (see STRATEGY_RULES); `constant-updown` requires a constant sheaf.
-    The trace is replayed before returning (`ReplayError` if refused).
+    (see STRATEGY_RULES), for any sheaf.  The trace is replayed before
+    returning (`ReplayError` if refused).
     """
     if strategy not in STRATEGY_RULES:
         raise SimplifyError(f"unknown strategy {strategy!r}")
-    rules = STRATEGY_RULES[strategy]
-    if any(RULES[r][1] for r in rules) and not is_constant(sp.sheaf):
-        raise SimplifyError(f"{strategy} strategy requires a constant sheaf")
-    out, trace = _greedy(sp, rules, rng)
+    out, trace = _greedy(sp, STRATEGY_RULES[strategy], rng)
     if trace.replay() != out:
         raise ReplayError("replay did not reproduce the result")
     return out, trace

@@ -170,15 +170,18 @@ def random_sheaf(
                 roff += w
         maps[(u, v)] = Matrix(ring, dims[v], dims[u], rows)
     sheaf = Sheaf(poset, ring, dims, maps)
-    if not gauge:
-        return sheaf
-    g = {e: random_invertible(rng, ring, dims[e]) for e in poset.elements}
+    return gauged(rng, sheaf) if gauge else sheaf
+
+
+def gauged(rng: random.Random, sheaf: Sheaf) -> Sheaf:
+    """An isomorphic sheaf: every stalk conjugated by a random invertible
+    matrix, which keeps commutativity and scrambles the maps."""
+    p, ring, dims, maps = sheaf.base, sheaf.ring, sheaf.stalk_dim, sheaf.cover_maps
+    g = {e: random_invertible(rng, ring, dims[e]) for e in p.elements}
     g_inv = {e: invert(m) for e, m in g.items()}
-    gauged = {
-        (u, v): compose(compose(g[v], maps[(u, v)]), g_inv[u])
-        for (u, v) in poset.covers
-    }
-    return Sheaf(poset, ring, dims, gauged)
+    return Sheaf(p, ring, dims, {
+        (u, v): compose(compose(g[v], maps[(u, v)]), g_inv[u]) for (u, v) in p.covers
+    })
 
 
 def random_space(rng, poset, ring, **kw) -> SheavedSpace:

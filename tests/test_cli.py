@@ -14,7 +14,7 @@ from posheaf import simplify as simplify_module
 from posheaf.cli import main
 from posheaf.cohomology import integral_homology, sheaf_cohomology
 from posheaf.documents import parse_space, space_to_data
-from posheaf.exact_linalg import GF, QQ
+from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.fixtures import (
     bing_house_poset,
     bing_house_with_apexes,
@@ -24,7 +24,7 @@ from posheaf.fixtures import (
 )
 from posheaf.poset import build_poset, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf
-from posheaf.simplify import SimplificationTrace, TraceStep
+from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep
 from test_cohomology import RP2
 
 
@@ -304,6 +304,27 @@ class TestInputTooLarge:
         assert report["betti"] == report["betti_after"] == [1]
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["cohomology"], ["core"], ["simplify", "--strategy", "constant-updown"],
+], ids=["validate", "cohomology", "core", "simplify-constant-updown"])
+def test_huge_stalks_build_no_identity(tmp_path, capsys, monkeypatch, command):
+    """Two incomparable elements with 10^9-dimensional stalks: nothing is
+    to be built of a stalk's size, so no identity matrix may be."""
+    identity = Matrix.identity.__func__
+
+    def bounded(cls, ring, n):
+        assert n <= 10_000, f"an identity matrix of size {n}"
+        return identity(cls, ring, n)
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(bounded))
+    doc = {"field": "GF:7", "elements": ["a", "b"], "covers": [],
+           "sheaf": {"stalks": {"a": 10**9, "b": 10**9}, "maps": {}}}
+    assert main([command[0], write_doc(tmp_path, doc), *command[1:]]) == 0
+    out = capsys.readouterr().out
+    if command != ["validate"]:
+        assert json.loads(out)["betti"] == [2 * 10**9]
+
+
 class TestHomology:
     def test_circle_over_z(self, tmp_path, capsys):
         assert main(["homology", write_doc(tmp_path, circle_doc("Z"))]) == 0
@@ -384,14 +405,36 @@ class TestSimplifyAndCore:
         path = write_doc(tmp_path, circle_doc())
         assert main(["simplify", path, "--strategy", "bogus"]) == 1
 
-    def test_z_field_constant_updown_only(self, tmp_path, capsys):
-        path = write_doc(tmp_path, circle_doc("Z"))
-        assert main(["simplify", path, "--strategy", "beats"]) == 1
-        capsys.readouterr()
-        assert main(["simplify", path, "--strategy", "constant-updown"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["certified"] is True
-        assert "torsion" in report and "torsion_after" in report
+    def test_z_field_every_strategy(self, tmp_path, capsys):
+        """Every rule keeps the integral homology of the order complex, so
+        a Z document takes `core` and every strategy, and reports the
+        groups of the input."""
+        rng = random.Random(167)
+        posets = [four_point_circle(), circle_with_apex(), face_poset(RP2)]
+        posets += [random_poset(rng, rng.randint(4, 8)) for _ in range(5)]
+        commands = [["core"]] + [["simplify", "--strategy", s] for s in STRATEGIES]
+        for i, p in enumerate(posets):
+            h = integral_homology(order_complex(p))
+            path = write_doc(tmp_path, poset_doc(p, "Z"), name=f"z{i}.json")
+            for command in commands:
+                assert main([command[0], path, *command[1:]]) == 0, command
+                report = json.loads(capsys.readouterr().out)
+                assert report["certified"] is True
+                assert report["betti"] == report["betti_after"] == list(h.betti_trimmed())
+                torsion = [list(t) for t in h.torsion_trimmed()]
+                assert report["torsion"] == report["torsion_after"] == torsion
+
+    @pytest.mark.parametrize("command", [["core"], ["simplify", "--strategy", "acyclic-down"]],
+                             ids=["core", "simplify"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, command, target):
+        out = tmp_path / "nope" / "x.json" if target == "missing-directory" else tmp_path
+        path = write_doc(tmp_path, two_chain_doc())
+        assert main([command[0], path, *command[1:], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {out}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_seed_reproducible(self, tmp_path, capsys):
         rng = random.Random(79)

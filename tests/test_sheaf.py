@@ -20,7 +20,6 @@ from posheaf.sheaf import (
     constant_sheaf,
     global_sections,
     ideal_sheaf,
-    is_constant,
     pullback,
     require_commutative,
     restrict,
@@ -258,14 +257,6 @@ class TestRestrictionComposite:
 
 
 class TestNamedSheaves:
-    def test_constant_is_constant(self):
-        assert is_constant(constant_sheaf(p5_poset(), GF(3), 2))
-
-    def test_not_constant(self):
-        p = build_poset(["a", "b"], [("a", "b")])
-        f = Sheaf(p, QQ, {"a": 1, "b": 1}, {("a", "b"): Matrix.from_rows(QQ, [[2]])})
-        assert not is_constant(f)
-
     def test_skyscraper_support(self):
         p = p5_poset()
         f = skyscraper_sheaf(p, "ab", QQ, w=2)

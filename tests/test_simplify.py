@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_poset, random_sheaf, random_space
+from gen import gauged, random_ideal, random_poset, random_sheaf, random_space
 from posheaf import sheaf as sheaf_module
 from posheaf import poset as poset_module
 from posheaf import simplify as simplify_module
@@ -36,16 +36,21 @@ from posheaf.sheaf import (
     SheavedSpace,
     check_commutativity,
     constant_sheaf,
+    ideal_sheaf,
     require_commutative,
+    restrict,
+    skyscraper_sheaf,
 )
 from posheaf.simplify import (
     ACYCLIC_DOWNSET,
+    ACYCLIC_UPSET,
     BEATS,
     DOWNBEAT,
     RULES,
     STRATEGIES,
     STRATEGY_RULES,
     UPBEAT,
+    ReplayError,
     SimplificationTrace,
     SimplifyError,
     TraceStep,
@@ -55,6 +60,7 @@ from posheaf.simplify import (
     find_beats,
     remove_acyclic_downset,
     removable_by_acyclic_downset,
+    removable_by_acyclic_upset,
     removable_by_acyclic_upset_constant,
     simplify_pipeline,
 )
@@ -226,6 +232,76 @@ class TestAcyclicRemovals:
             assert not removable_by_acyclic_upset_constant(circle, e)
 
 
+def skyscraper_2_chain():
+    """Q at x and 0 at y over the chain x < y: H^0 is Q, but 0 without x."""
+    p = build_poset(["x", "y"], [("x", "y")])
+    return SheavedSpace(p, skyscraper_sheaf(p, "x", QQ))
+
+
+def diamond_zero_top():
+    """x < v1, v2 < w over Q, stalk 0 at w only: the maps out of x are
+    invertible, those into w are not, and without x H^0 is Q^2."""
+    p = build_poset(["x", "v1", "v2", "w"],
+                    [("x", "v1"), ("x", "v2"), ("v1", "w"), ("v2", "w")])
+    return SheavedSpace(p, ideal_sheaf(p, {"x", "v1", "v2"}, QQ))
+
+
+class TestAcyclicUpsetAgainstSlowReference:
+    """Wherever the acyclic-upset predicate holds, removing the element
+    keeps the Betti numbers of the Roos complex: on random sheaves, on
+    constant ones, on gauged constant ones, which are not constant, and
+    on ideal sheaves, whose maps out of the ideal are not invertible."""
+
+    KINDS = ("random", "gauged constant", "constant", "ideal")
+
+    @classmethod
+    def space(cls, rng):
+        p = random_poset(rng, rng.randint(3, 10))
+        ring, w = rng.choice([QQ, GF(2), GF(7)]), rng.randint(1, 2)
+        kind = rng.choice(cls.KINDS)
+        if kind == "random":
+            f = random_sheaf(rng, p, ring)
+        elif kind == "ideal":
+            f = ideal_sheaf(p, random_ideal(rng, p), ring, w)
+        else:
+            f = constant_sheaf(p, ring, w)
+            f = gauged(rng, f) if kind == "gauged constant" else f
+        return kind, SheavedSpace(p, f)
+
+    @staticmethod
+    def check(sp) -> int:
+        """The number of elements the predicate lets go, each checked."""
+        before, removed = unreduced_betti(sp), 0
+        for x in sp.poset.elements:
+            if RULES[ACYCLIC_UPSET](sp, x):
+                after = unreduced_betti(restrict(sp, set(sp.poset.elements) - {x}))
+                assert after == before, (sp.poset.elements, x)
+                removed += 1
+        return removed
+
+    def test_seeded(self):
+        rng = random.Random(163)
+        removed = dict.fromkeys(self.KINDS, 0)
+        for _ in range(400):
+            kind, sp = self.space(rng)
+            removed[kind] += self.check(sp)
+        assert min(removed.values()) >= 50, removed
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis(self, seed):
+        self.check(self.space(random.Random(seed))[1])
+
+    @pytest.mark.parametrize("space", [skyscraper_2_chain, diamond_zero_top],
+                             ids=["skyscraper-2-chain", "diamond-zero-top"])
+    def test_refuses_a_map_that_is_not_invertible(self, space):
+        sp = space()
+        assert removable_by_acyclic_upset_constant(sp.poset, "x")  # acyclic upset
+        assert not RULES[ACYCLIC_UPSET](sp, "x")
+        assert unreduced_betti(sp) == (1,)
+        assert unreduced_betti(restrict(sp, set(sp.poset.elements) - {"x"})) != (1,)
+
+
 def reference_acyclic(p, s, dual=False) -> bool:
     return is_acyclic(order_complex((upset if dual else downset)(p, s)))
 
@@ -239,7 +315,7 @@ class TestAcyclicityCertificates:
         for s in p.elements:
             down, up = reference_acyclic(p, s), reference_acyclic(p, s, dual=True)
             assert removable_by_acyclic_downset(sp, s) == down
-            assert RULES["acyclic-upset"][0](sp, s) == up
+            assert removable_by_acyclic_upset(sp, s) == up
             assert removable_by_acyclic_upset_constant(p, s) == (down or up)
 
     def test_each_certificate_agrees_with_smith_form(self):
@@ -292,11 +368,27 @@ class TestPipeline:
         with pytest.raises(SimplifyError):
             simplify_pipeline(const_space(p5_gadget()), strategy="nope")
 
-    def test_updown_requires_constant(self):
+    def test_updown_takes_any_sheaf(self):
         p = build_poset(["a", "b"], [("a", "b")])
         f = Sheaf(p, QQ, {"a": 1, "b": 1}, {("a", "b"): Matrix.from_rows(QQ, [[2]])})
-        with pytest.raises(SimplifyError):
-            simplify_pipeline(SheavedSpace(p, f), strategy="constant-updown")
+        out, trace = simplify_pipeline(SheavedSpace(p, f), strategy="constant-updown")
+        assert len(out.poset) == 1 and trace.replay() == out
+        # the upset rule fires on a sheaf that is only isomorphic to a constant one
+        p = zigzag_poset(dual=True)
+        sp = SheavedSpace(p, gauged(random.Random(5), constant_sheaf(p, GF(7), 2)))
+        out, trace = simplify_pipeline(sp, strategy="constant-updown")
+        assert ACYCLIC_UPSET in {s.rule for s in trace.steps}
+        assert sheaf_cohomology(out).betti_trimmed() == unreduced_betti(sp)
+
+    def test_updown_keeps_skyscraper_base(self):
+        # x's upset {y} is acyclic, but the map x -> y is not invertible,
+        # and removing x would take H^0 from 1 to 0
+        sp = skyscraper_2_chain()
+        out, _ = simplify_pipeline(sp, strategy="constant-updown")
+        assert "x" in out.poset
+        step = TraceStep("x", ACYCLIC_UPSET)
+        with pytest.raises(ReplayError):
+            SimplificationTrace((step,), sp, sp).replay()
 
     def test_beats_strategy_stops_at_core(self):
         sp = const_space(circle_with_apex())
@@ -362,8 +454,9 @@ class TestRuleTable:
 
 
 def _zero_map_space():
-    """a, b < c over Q with stalks 0, 2, 0: H^0 has dimension 2, and
-    removing b by the constant-only up/down rule would lose it."""
+    """a, b < c over Q with stalks 0, 2, 0: H^0 has dimension 2.  The
+    upset of b is acyclic, but removing b would lose H^0, and the
+    acyclic-upset rule refuses it: the map b -> c is not invertible."""
     p = build_poset(["a", "b", "c"], [("a", "c"), ("b", "c")])
     maps = {("a", "c"): Matrix(QQ, 0, 0, []), ("b", "c"): Matrix(QQ, 0, 2, [])}
     return SheavedSpace(p, Sheaf(p, QQ, {"a": 0, "b": 2, "c": 0}, maps))
@@ -478,13 +571,11 @@ class TestAgainstSlowReference:
         assert trace.steps == ref_steps
         assert out == ref_out and out.poset.elements == ref_out.poset.elements
 
-    def suite(self, seed, count, constant=False):
+    def suite(self, seed, count):
         rng = random.Random(seed)
         for _ in range(count):
             p = random_poset(rng, rng.randint(1, 12))
-            ring = rng.choice([QQ, GF(3), GF(7)])
-            yield const_space(p, ring, rng.randint(1, 2)) if constant \
-                else random_space(rng, p, ring)
+            yield random_space(rng, p, rng.choice([QQ, GF(3), GF(7)]))
 
     @pytest.mark.parametrize("k", [None, 0, 1, 2])
     def test_core(self, k):
@@ -496,8 +587,7 @@ class TestAgainstSlowReference:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("k", [None, 0, 1])
     def test_pipeline(self, strategy, k):
-        constant = any(RULES[r][1] for r in STRATEGY_RULES[strategy])
-        for sp in self.suite(157, 25, constant):
+        for sp in self.suite(157, 25):
             rng = None if k is None else random.Random(k)
             ref_rng = None if k is None else random.Random(k)
             self.assert_same(simplify_pipeline(sp, strategy, rng=rng),
@@ -514,10 +604,8 @@ def test_chain_core_tests_only_the_covers_of_each_removal(monkeypatch):
     sp = const_space(build_poset(names, list(zip(names, names[1:]))), GF(7), 2)
     tested = []
     for rule in BEATS:
-        predicate, constant_only = RULES[rule]
-        monkeypatch.setitem(RULES, rule, (
-            lambda sp, e, predicate=predicate: tested.append(e) or predicate(sp, e),
-            constant_only))
+        monkeypatch.setitem(
+            RULES, rule, lambda sp, e, predicate=RULES[rule]: tested.append(e) or predicate(sp, e))
     rebuilt = []
     for module in (poset_module, sheaf_module, simplify_module):
         for name in ("induced_subposet", "build_poset"):
