@@ -5,9 +5,13 @@ transitive reduction of the order.  :func:`build_poset` is the one way
 to make a poset: it validates the covers and computes, once, the cover
 tables and the strict up- and down-closure of every element.  Posets
 are immutable after construction, apart from the tables they compute on
-first use.  Downsets and upsets go through :func:`build_poset` again;
-:func:`remove_element` derives the tables without one element from its
-parent's, changing only the entries of the elements comparable to it.
+first use.  Downsets and upsets go through :func:`build_poset` again.
+Removing elements needs no rebuild: :func:`_unlink` takes one element
+out of the cover tables by the bridge rule, in place, and
+:func:`_subposet_without` makes the subposet from those tables, shrinking
+only the closures of the elements comparable to those removed.
+:func:`remove_element` is the two for one element; the working
+subspace of :mod:`posheaf.sheaf` calls them for many.
 
 Two acyclicity certificates need no linear algebra: the Moebius function
 (:meth:`Poset.mobius`) rejects, and a beat collapse to a point
@@ -263,36 +267,48 @@ def upset(p: Poset, s) -> Poset:
 
 
 def remove_element(p: Poset, s) -> Poset:
-    """The subposet without s, derived from p's tables without a rebuild.
-
-    A lower cover a and an upper cover b of s become a cover unless
-    another upper cover of a lies below b; every other cover stays, and
-    s leaves the closures of the elements comparable to it.  The result
-    shares p's acyclicity verdicts.
-    """
+    """The subposet without s, derived from p's tables without a rebuild
+    (see :func:`_unlink` and :func:`_subposet_without`).  The result
+    shares p's acyclicity verdicts."""
     p._check(s)
-    lower, upper = p._lower[s], p._upper[s]
-    bridges = [(a, b) for a in lower for b in upper
-               if not any(b in p._above[w] for w in p._upper[a] if w != s)]
-    gone = [(a, s) for a in lower] + [(s, b) for b in upper]
-    ups = dict(p._upper)
-    lows = dict(p._lower)
-    del ups[s], lows[s]
-    for a in lower:
-        ups[a] = tuple(sorted([w for w in ups[a] if w != s]
-                              + [b for (x, b) in bridges if x == a]))
-    for b in upper:
-        lows[b] = tuple(sorted([w for w in lows[b] if w != s]
-                               + [a for (a, y) in bridges if y == b]))
-    above = dict(p._above)
-    below = dict(p._below)
-    del above[s], below[s]
-    for x in p._below[s]:
-        above[x] = above[x] - {s}
-    for y in p._above[s]:
-        below[y] = below[y] - {s}
-    q = Poset(tuple(e for e in p.elements if e != s),
-              p.covers.difference(gone).union(bridges), ups, lows, above, below)
+    upper, lower = dict(p._upper), dict(p._lower)
+    gone, bridges = _unlink(upper, lower, p._above, s)
+    return _subposet_without(p, {s}, upper, lower, p.covers.difference(gone).union(bridges))
+
+
+def _unlink(upper: dict, lower: dict, above: dict, s) -> tuple[list, list]:
+    """Take s out of the cover tables `upper` and `lower`, in place, and
+    return the covers that went and the covers that came.
+
+    The bridge rule: a lower cover a and an upper cover b of s become a
+    cover unless another upper cover of a lies below b; every other
+    cover stays.  `above` holds strict up-closures in any poset that the
+    tables' poset is induced from, since it is asked only about the
+    elements still in the tables.
+    """
+    lows, ups = lower.pop(s), upper.pop(s)
+    bridges = [(a, b) for a in lows for b in ups
+               if not any(b in above[w] for w in upper[a] if w != s)]
+    for a in lows:
+        upper[a] = tuple(sorted([w for w in upper[a] if w != s]
+                                + [b for (x, b) in bridges if x == a]))
+    for b in ups:
+        lower[b] = tuple(sorted([w for w in lower[b] if w != s]
+                                + [a for (a, y) in bridges if y == b]))
+    return [(a, s) for a in lows] + [(s, b) for b in ups], bridges
+
+
+def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict,
+                      covers: frozenset) -> Poset:
+    """The subposet of p on the elements not in `removed`, given its
+    cover tables.  A closure that meets `removed` loses it; every other
+    closure is p's own.  The result shares p's acyclicity verdicts."""
+    def shrunk(closure):
+        return {x: c if c.isdisjoint(removed) else c - removed
+                for x, c in closure.items() if x not in removed}
+
+    q = Poset(tuple(e for e in p.elements if e not in removed), covers, upper, lower,
+              shrunk(p._above), shrunk(p._below))
     q._acyclic = p._acyclic
     return q
 

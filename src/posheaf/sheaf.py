@@ -5,6 +5,13 @@ Hasse cover edge, maps pointing upward: for the cover (u, v), a
 dim(v) x dim(u) matrix acting on column vectors.  All composite maps
 between comparable elements must agree along every cover path; that is
 checked once per sheaf, on local squares.  Composites are made on first use.
+
+Subspaces of a verified space are made by a private working subspace
+(:class:`_WorkingSubspace`): elements leave it one at a time, each by
+changing only the cover tables next to it, and a :class:`SheavedSpace`
+is built only when one is asked for.  :func:`restrict` and every
+removal loop of :mod:`posheaf.simplify` run on it.  A space remembers
+its deterministic core, which :func:`posheaf.simplify.core` computes.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .exact_linalg import Matrix, PrimeField, Rationals, compose, kernel_basis
-from .poset import Poset, leq, remove_element
+from .poset import Poset, _subposet_without, _unlink, leq
 
 
 class SheafError(Exception):
@@ -123,15 +130,20 @@ def _checked_map(cov, m: Matrix, ring, stalk_dim: Mapping) -> Matrix:
 
 
 class SheavedSpace:
-    """A poset together with a sheaf on it."""
+    """A poset together with a sheaf on it.
 
-    __slots__ = ("poset", "sheaf")
+    `_core` keeps the space's deterministic core and its trace once
+    :func:`posheaf.simplify.core` has computed them (None before).
+    """
+
+    __slots__ = ("poset", "sheaf", "_core")
 
     def __init__(self, poset: Poset, sheaf: Sheaf):
         if sheaf.base is not poset and sheaf.base != poset:
             raise SheafError("sheaf base differs from the given poset")
         self.poset = poset
         self.sheaf = sheaf
+        self._core = None
 
     def __eq__(self, other):
         return (
@@ -266,35 +278,92 @@ def _supported_sheaf(p: Poset, support: set, ring, w: int, identity_inside=True)
     return Sheaf(p, ring, dims, maps)
 
 
+class _WorkingSubspace:
+    """A subspace of a sheaved space (the root) that elements leave one
+    at a time.
+
+    It holds the root, the cover tables `upper` and `lower` of the kept
+    elements, and the last space it built.  :meth:`remove` changes those
+    tables by the bridge rule (:func:`~posheaf.poset._unlink`) and builds
+    nothing.  :meth:`space` builds the current subspace from the last one
+    built: dict copies, the closures of the elements comparable to those
+    removed since, and the maps of the covers new since, taken from the
+    root sheaf's composites and checked for shape.  The root sheaf must
+    commute; every space built is verified and shares the root's memo of
+    composites.
+    """
+
+    __slots__ = ("root", "upper", "lower", "_built", "_removed", "_gone", "_added")
+
+    def __init__(self, sp: SheavedSpace):
+        self.root = sp
+        self.upper = dict(sp.poset._upper)
+        self.lower = dict(sp.poset._lower)
+        self._built = sp
+        # since the last build: the elements removed, the covers of the
+        # last space built that went, and the covers that came
+        self._removed, self._gone, self._added = set(), set(), set()
+
+    def cover_map(self, u, v) -> Matrix:
+        """The map of the current cover (u, v)."""
+        f = self.root.sheaf
+        m = f.cover_maps.get((u, v))
+        return f.restriction(u, v) if m is None else m
+
+    def remove(self, s) -> None:
+        require_commutative(self.root.sheaf)
+        gone, bridges = _unlink(self.upper, self.lower, self.root.poset._above, s)
+        self._removed.add(s)
+        for c in gone:
+            if c in self._added:
+                self._added.remove(c)
+            else:
+                self._gone.add(c)
+        self._added.update(bridges)
+
+    def space(self) -> SheavedSpace:
+        if not self._removed:
+            return self._built
+        last, f = self._built, self.root.sheaf
+        sub = _subposet_without(last.poset, self._removed, dict(self.upper), dict(self.lower),
+                                last.poset.covers.difference(self._gone).union(self._added))
+        dims = dict(last.sheaf.stalk_dim)
+        for e in self._removed:
+            del dims[e]
+        maps = dict(last.sheaf.cover_maps)
+        for c in self._gone:
+            del maps[c]
+        for c in self._added:
+            maps[c] = _checked_map(c, f.restriction(*c), f.ring, dims)
+        g = object.__new__(Sheaf)
+        g.base, g.ring, g.stalk_dim, g.cover_maps = sub, f.ring, dims, maps
+        g._composites = f._composites
+        g._verified = True
+        self._built = SheavedSpace(sub, g)
+        self._removed, self._gone, self._added = set(), set(), set()
+        return self._built
+
+
 def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
     """Sheaved space induced on a subset of elements.
 
     Maps of induced covers are composites along cover paths of the
     original poset; commutativity makes them well defined, so the sheaf
-    must commute (else :class:`CommutativityError`).  The subposet drops
-    one element at a time (:func:`remove_element`), in element order.
-    The maps of new covers come from :meth:`Sheaf.restriction` and have
-    their shapes checked; the other stalks and maps are the parent's,
-    taken as they are.  The restriction is verified and shares the
-    parent's memo of composites, which hold in it too.
+    must commute (else :class:`CommutativityError`).  Every element not
+    kept leaves a working subspace of `sp`, in element order, and the
+    restriction is built once, from `sp`'s tables: only the maps of new
+    covers are made and have their shapes checked.  The restriction is
+    verified and shares the parent's memo of composites, which hold in
+    it too; keeping every element gives `sp` itself.
     """
-    f = sp.sheaf
-    require_commutative(f)
+    require_commutative(sp.sheaf)
     keep = set(keep)
     sp.poset._check(*keep)
-    sub = sp.poset
+    w = _WorkingSubspace(sp)
     for s in sp.poset.elements:
         if s not in keep:
-            sub = remove_element(sub, s)
-    dims = {e: f.stalk_dim[e] for e in sub.elements}
-    maps = {c: f.cover_maps[c] for c in sub.covers & sp.poset.covers}
-    for c in sub.covers - sp.poset.covers:
-        maps[c] = _checked_map(c, f.restriction(*c), f.ring, dims)
-    g = object.__new__(Sheaf)
-    g.base, g.ring, g.stalk_dim, g.cover_maps = sub, f.ring, dims, maps
-    g._composites = f._composites
-    g._verified = True
-    return SheavedSpace(sub, g)
+            w.remove(s)
+    return w.space()
 
 
 def pullback(f_map: Mapping, source: Poset, g: Sheaf) -> Sheaf:

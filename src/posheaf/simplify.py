@@ -10,6 +10,14 @@ invertible.  Each predicate is valid for any sheaf.  Acyclicity is
 decided by the cheapest certificate that settles it: a nonzero Moebius
 value rejects, a beat collapse to a point accepts, and a Smith normal
 form decides the rest.
+
+Every removal loop (:func:`core`, :func:`simplify_pipeline`,
+:meth:`SimplificationTrace.replay`, :func:`find_beats`) runs on a working
+subspace of :mod:`posheaf.sheaf`, and the predicates of `RULES` take
+one.  The beat rules read its cover tables, so a beat removal builds
+nothing; the pass rules read the space it builds.  A space that a loop
+returns has no beat left, so it is recorded as its own core, and
+:func:`core` computes each space's deterministic core once.
 """
 
 from __future__ import annotations
@@ -21,15 +29,8 @@ from typing import Optional
 
 from .cohomology import is_acyclic
 from .exact_linalg import rank
-from .poset import (
-    Poset,
-    collapses_to_point,
-    induced_subposet,
-    is_downbeat,
-    is_upbeat_poset,
-    order_complex,
-)
-from .sheaf import SheavedSpace, restrict
+from .poset import Poset, collapses_to_point, induced_subposet, order_complex
+from .sheaf import SheavedSpace, _WorkingSubspace
 
 
 class SimplifyError(Exception):
@@ -60,16 +61,21 @@ def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
     return verdicts[keep]
 
 
-def _invertible(sp: SheavedSpace, covers) -> bool:
-    """True iff the map of every cover in `covers` is square of full rank."""
-    ms = [sp.sheaf.cover_maps[c] for c in covers]
-    return all(m.is_square() and rank(m) == m.rows for m in ms)
+def _invertible(maps) -> bool:
+    """True iff every map in `maps` is square of full rank."""
+    return all(m.is_square() and rank(m) == m.rows for m in maps)
 
 
-def _is_upbeat(sp: SheavedSpace, e) -> bool:
+def _is_upbeat(w: _WorkingSubspace, e) -> bool:
     """A unique upper cover, reached by an invertible map."""
-    p = sp.poset
-    return is_upbeat_poset(p, e) and _invertible(sp, [(e, p.upper_covers(e)[0])])
+    ups = w.upper[e]
+    return len(ups) == 1 and _invertible([w.cover_map(e, ups[0])])
+
+
+def _on_space(predicate):
+    """A pass rule: `predicate` on the space a working subspace builds
+    (or on a built space, as given)."""
+    return lambda w, e: predicate(w if isinstance(w, SheavedSpace) else w.space(), e)
 
 
 def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:
@@ -83,7 +89,7 @@ def removable_by_acyclic_upset(sp: SheavedSpace, s) -> bool:
     isomorphic to the constant one with stalk F(s) = H*(U; F)."""
     p = sp.poset
     return _acyclic_closure(p, s, dual=True) and _invertible(
-        sp, [(u, v) for u in (s, *p.strictly_above(s)) for v in p.upper_covers(u)])
+        [sp.sheaf.cover_maps[(u, v)] for u in (s, *p.strictly_above(s)) for v in p.upper_covers(u)])
 
 
 def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
@@ -91,12 +97,12 @@ def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
     return _acyclic_closure(p, s) or _acyclic_closure(p, s, dual=True)
 
 
-# rule -> its predicate on a space and an element
+# rule -> its predicate on a working subspace and an element
 RULES = {
-    DOWNBEAT: lambda sp, e: is_downbeat(sp.poset, e),
+    DOWNBEAT: lambda w, e: len(w.lower[e]) == 1,
     UPBEAT: _is_upbeat,
-    ACYCLIC_DOWNSET: removable_by_acyclic_downset,
-    ACYCLIC_UPSET: removable_by_acyclic_upset,
+    ACYCLIC_DOWNSET: _on_space(removable_by_acyclic_downset),
+    ACYCLIC_UPSET: _on_space(removable_by_acyclic_upset),
 }
 BEATS = (DOWNBEAT, UPBEAT)
 
@@ -132,43 +138,47 @@ class SimplificationTrace:
 
     def replay(self) -> SheavedSpace:
         """Re-run every removal from the initial space, re-checking the
-        recorded rule and its validity; returns the final space or raises
-        `ReplayError`."""
-        sp = self.initial
+        recorded rule, and only it, on a working subspace of the initial
+        space; returns the final space or raises `ReplayError`."""
+        w = _WorkingSubspace(self.initial)
         try:
             for step in self.steps:
-                sp = _checked_removal(sp, step.removed, (step.rule,))
+                _remove_checked(w, step.removed, (step.rule,))
         except SimplifyError as e:
             raise ReplayError(f"replay refused the trace: {e}") from e
-        return sp
+        return w.space()
 
 
-def _without(sp: SheavedSpace, e) -> SheavedSpace:
-    return restrict(sp, set(sp.poset.elements) - {e})
-
-
-def _first_rule(sp: SheavedSpace, e, rules) -> Optional[str]:
+def _first_rule(w: _WorkingSubspace, e, rules) -> Optional[str]:
     for r in rules:
-        if RULES[r](sp, e):
+        if RULES[r](w, e):
             return r
     return None
 
 
-def _checked_removal(sp: SheavedSpace, e, rules) -> SheavedSpace:
-    """Remove e if one of `rules` holds there."""
+def _remove_checked(w: _WorkingSubspace, e, rules) -> None:
+    """Remove e from w if one of `rules` holds there."""
     for r in rules:
         if r not in RULES:
             raise SimplifyError(f"unknown rule {r!r}")
-    if e not in sp.poset:
+    if e not in w.upper:
         raise SimplifyError(f"{e!r} is not an element; refusing to remove it")
-    if _first_rule(sp, e, rules) is None:
+    if _first_rule(w, e, rules) is None:
         raise SimplifyError(f"{e!r} fails {' and '.join(rules)}; refusing to remove it")
-    return _without(sp, e)
+    w.remove(e)
+
+
+def _checked_removal(sp: SheavedSpace, e, rules) -> SheavedSpace:
+    """`sp` without e, if one of `rules` holds there."""
+    w = _WorkingSubspace(sp)
+    _remove_checked(w, e, rules)
+    return w.space()
 
 
 def find_beats(sp: SheavedSpace) -> list[BeatReport]:
     """All beat elements, sorted by name."""
-    kinds = ((e, _first_rule(sp, e, BEATS)) for e in sorted(sp.poset.elements))
+    w = _WorkingSubspace(sp)
+    kinds = ((e, _first_rule(w, e, BEATS)) for e in sorted(sp.poset.elements))
     return [BeatReport(e, k) for e, k in kinds if k is not None]
 
 
@@ -186,8 +196,12 @@ def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationT
     none is left, one pass over the elements (shuffled with `rng`) trying
     `rules` in table order, then beats again.  `find_beats` runs once: a
     removal can change the beat status of the removed element's covers
-    only, so only they are tested again, before the next beat is chosen."""
-    out, steps = sp, []
+    only, so only they are tested again, before the next beat is chosen.
+
+    The removals are made on one working subspace of `sp`, which builds a
+    space only for a pass rule and at the end.  The space returned has no
+    beat left, so it is recorded as its own core."""
+    w, steps = _WorkingSubspace(sp), []
     kinds = {b.element: b.kind for b in find_beats(sp)}
     beats = sorted(kinds)  # what find_beats would list, by name
     stale = set()  # elements whose covers changed since their last test
@@ -197,18 +211,16 @@ def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationT
             del beats[bisect.bisect_left(beats, e)]
 
     def remove(e, rule):
-        nonlocal out
-        p = out.poset
-        out = _without(out, e)
+        stale.update(w.lower[e], w.upper[e])
+        stale.discard(e)
+        w.remove(e)
         steps.append(TraceStep(e, rule))
         drop(e)
-        stale.update(p.lower_covers(e), p.upper_covers(e))
-        stale.discard(e)
 
     while True:
         for x in sorted(stale):
             drop(x)
-            kind = _first_rule(out, x, BEATS)
+            kind = _first_rule(w, x, BEATS)
             if kind is not None:
                 kinds[x] = kind
                 bisect.insort(beats, x)
@@ -217,16 +229,19 @@ def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationT
             e = rng.choice(beats) if rng is not None else beats[0]
             remove(e, kinds[e])
             continue
-        candidates = sorted(out.poset.elements) if rules else []
+        candidates = sorted(w.upper) if rules else []
         if rng is not None:
             rng.shuffle(candidates)
         before = len(steps)
         for e in candidates:
-            rule = _first_rule(out, e, rules)
+            rule = _first_rule(w, e, rules)
             if rule is not None:
                 remove(e, rule)
         if len(steps) == before:
             break
+    out = w.space()
+    if out._core is None:
+        out._core = (out, SimplificationTrace((), out, out))
     return out, SimplificationTrace(tuple(steps), sp, out)
 
 
@@ -235,9 +250,15 @@ def core(sp: SheavedSpace, rng: Optional[random.Random] = None) -> tuple[Sheaved
 
     Deterministic order (lowest name first) unless an `rng` is supplied,
     in which case each step removes a uniformly random beat; any order
-    reaches an isomorphic core.
+    reaches an isomorphic core.  The deterministic core is computed once
+    per space and kept on it, so a second call returns the same pair;
+    a call with an `rng` neither reads nor writes that memo.
     """
-    return _greedy(sp, (), rng)
+    if rng is not None:
+        return _greedy(sp, (), rng)
+    if sp._core is None:
+        sp._core = _greedy(sp, (), None)
+    return sp._core
 
 
 def simplify_pipeline(

@@ -9,7 +9,7 @@ from gen import random_poset, random_sheaf, random_space
 from posheaf import sheaf as sheaf_module
 from posheaf.exact_linalg import GF, QQ, Matrix, compose
 from posheaf.fixtures import four_point_circle, p5_poset
-from posheaf.poset import build_poset, downset, leq
+from posheaf.poset import Poset, build_poset, downset, leq
 from posheaf.sheaf import (
     CommutativityError,
     SheafError,
@@ -305,6 +305,23 @@ class TestRestrictPullback:
         )
         sub = restrict(SheavedSpace(p, f), ["a", "c"])
         assert sub.sheaf.cover_maps[("a", "c")] == Matrix.from_rows(QQ, [[10]])
+
+    def test_restrict_to_few_elements_builds_one_poset(self, monkeypatch):
+        # dropping 399 or 398 elements of the 400-chain changes the tables
+        # in place; the subposet is built once, at the end
+        names = [f"c{i:04d}" for i in range(400)]
+        p = build_poset(names, list(zip(names, names[1:])))
+        sp = SheavedSpace(p, constant_sheaf(p, GF(7), 2))
+        built = []
+        init = Poset.__init__
+        monkeypatch.setattr(Poset, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+        sub = restrict(sp, ["c0200"])
+        assert built == [1]
+        assert sub.poset.elements == ("c0200",) and sub.poset.covers == frozenset()
+        sub = restrict(sp, ["c0000", "c0399"])
+        assert built == [1, 1]
+        assert sub.sheaf.cover_maps == {("c0000", "c0399"): Matrix.identity(GF(7), 2)}
+        assert sub.poset.strictly_above("c0000") == {"c0399"}
 
     def test_restrict_noncommuting_raises(self):
         f = noncommuting_diamond()
