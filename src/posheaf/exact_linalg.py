@@ -159,7 +159,7 @@ class Matrix:
     dim(v) x dim(u) matrix acting on column vectors.
     """
 
-    __slots__ = ("ring", "rows", "cols", "sparse")
+    __slots__ = ("ring", "rows", "cols", "sparse", "_rank")
 
     def __init__(self, ring, rows: int, cols: int, entries):
         """A matrix from dense rows (any iterables of scalars)."""
@@ -194,6 +194,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.sparse = tuple(sparse)
+        self._rank = None
 
     @classmethod
     def from_rows(cls, ring, rows: Sequence[Sequence]) -> "Matrix":
@@ -356,9 +357,11 @@ def _eliminate(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    """Dimension of the column span, over Q or GF(p)."""
+    """Dimension of the column span, over Q or GF(p); kept on m."""
     _require_field(m, "rank")
-    return len(_eliminate(m)[0])
+    if m._rank is None:
+        m._rank = len(_eliminate(m)[0])
+    return m._rank
 
 
 def kernel_basis(m: Matrix) -> list[tuple]:

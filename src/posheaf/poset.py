@@ -6,12 +6,14 @@ to make a poset: it validates the covers and computes, once, the cover
 tables and the strict up- and down-closure of every element.  Posets
 are immutable after construction, apart from the tables they compute on
 first use.  Downsets and upsets go through :func:`build_poset` again.
-Removing elements needs no rebuild: :func:`_unlink` takes one element
-out of the cover tables by the bridge rule, in place, and
-:func:`_subposet_without` makes the subposet from those tables, shrinking
-only the closures of the elements comparable to those removed.
+Removing elements needs no rebuild.  The cover tables are the one
+record of a subposet's covers, and :func:`_unlink`, the one code that
+edits them, takes one element out by the bridge rule, in place;
+:func:`_subposet_without` reads the subposet off them, shrinking only
+the closures of the elements comparable to those removed.
 :func:`remove_element` is the two for one element; the working
-subspace of :mod:`posheaf.sheaf` calls them for many.
+subspace of :mod:`posheaf.sheaf` and :func:`collapses_to_point` call
+:func:`_unlink` for many.
 
 Two acyclicity certificates need no linear algebra: the Moebius function
 (:meth:`Poset.mobius`) rejects, and a beat collapse to a point
@@ -272,19 +274,19 @@ def remove_element(p: Poset, s) -> Poset:
     shares p's acyclicity verdicts."""
     p._check(s)
     upper, lower = dict(p._upper), dict(p._lower)
-    gone, bridges = _unlink(upper, lower, p._above, s)
-    return _subposet_without(p, {s}, upper, lower, p.covers.difference(gone).union(bridges))
+    _unlink(upper, lower, p._above, s)
+    return _subposet_without(p, {s}, upper, lower)
 
 
-def _unlink(upper: dict, lower: dict, above: dict, s) -> tuple[list, list]:
-    """Take s out of the cover tables `upper` and `lower`, in place, and
-    return the covers that went and the covers that came.
+def _unlink(upper: dict, lower: dict, above: dict, s) -> None:
+    """Take s out of the cover tables `upper` and `lower`, in place.
 
     The bridge rule: a lower cover a and an upper cover b of s become a
     cover unless another upper cover of a lies below b; every other
-    cover stays.  `above` holds strict up-closures in any poset that the
-    tables' poset is induced from, since it is asked only about the
-    elements still in the tables.
+    cover stays, so only the cover counts of s's covers change.  `above`
+    holds strict up-closures in any poset that the tables' poset is
+    induced from, since it is asked only about the elements still in the
+    tables.  This is the one code that edits cover tables.
     """
     lows, ups = lower.pop(s), upper.pop(s)
     bridges = [(a, b) for a in lows for b in ups
@@ -295,46 +297,22 @@ def _unlink(upper: dict, lower: dict, above: dict, s) -> tuple[list, list]:
     for b in ups:
         lower[b] = tuple(sorted([w for w in lower[b] if w != s]
                                 + [a for (a, y) in bridges if y == b]))
-    return [(a, s) for a in lows] + [(s, b) for b in ups], bridges
 
 
-def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict,
-                      covers: frozenset) -> Poset:
-    """The subposet of p on the elements not in `removed`, given its
-    cover tables.  A closure that meets `removed` loses it; every other
-    closure is p's own.  The result shares p's acyclicity verdicts."""
+def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict) -> Poset:
+    """The subposet of p on the elements not in `removed`, which takes
+    over the cover tables and reads its covers off them.  A closure that
+    meets `removed` loses it; every other closure is p's own.  The
+    result shares p's acyclicity verdicts."""
     def shrunk(closure):
         return {x: c if c.isdisjoint(removed) else c - removed
                 for x, c in closure.items() if x not in removed}
 
+    covers = frozenset((u, v) for u, vs in upper.items() for v in vs)
     q = Poset(tuple(e for e in p.elements if e not in removed), covers, upper, lower,
               shrunk(p._above), shrunk(p._below))
     q._acyclic = p._acyclic
     return q
-
-
-def _remove_beat(p: Poset, x, lower: dict, upper: dict) -> list:
-    """Remove x from the cover tables of a subposet of p if x is a beat
-    there; return the elements whose cover counts changed ([] if x is no
-    beat).  When x's only lower cover is a, a becomes a lower cover of
-    each upper cover b of x unless another lower cover of b lies above
-    a; an upbeat is the same in the dual order."""
-    if len(lower[x]) == 1:
-        down, up, strictly_under = lower, upper, p._below
-    elif len(upper[x]) == 1:
-        down, up, strictly_under = upper, lower, p._above
-    else:
-        return []
-    (a,) = down.pop(x)
-    up[a].discard(x)
-    touched = [a]
-    for b in up.pop(x):
-        down[b].discard(x)
-        if not any(a in strictly_under[w] for w in down[b]):
-            down[b].add(a)
-            up[a].add(b)
-        touched.append(b)
-    return touched
 
 
 def collapses_to_point(p: Poset) -> bool:
@@ -344,15 +322,16 @@ def collapses_to_point(p: Poset) -> bool:
 
     Every maximal sequence of beat removals ends in the core, which is
     unique up to isomorphism, so the order of removals does not matter.
-    Covers are updated locally after each removal.
+    Each beat is taken out of copies of p's tables by :func:`_unlink`,
+    and only its covers, whose cover counts change, are tested again.
     """
-    lower = {e: set(us) for e, us in p._lower.items()}
-    upper = {e: set(vs) for e, vs in p._upper.items()}
+    upper, lower = dict(p._upper), dict(p._lower)
     todo = list(p.elements)
     while todo and len(lower) > 1:
         x = todo.pop()
-        if x in lower:
-            todo += _remove_beat(p, x, lower, upper)
+        if x in lower and (len(lower[x]) == 1 or len(upper[x]) == 1):
+            todo += lower[x] + upper[x]
+            _unlink(upper, lower, p._above, x)
     return len(lower) == 1
 
 

@@ -10,8 +10,8 @@ Subspaces of a verified space are made by a private working subspace
 (:class:`_WorkingSubspace`): elements leave it one at a time, each by
 changing only the cover tables next to it, and a :class:`SheavedSpace`
 is built only when one is asked for.  :func:`restrict` and every
-removal loop of :mod:`posheaf.simplify` run on it.  A space remembers
-its deterministic core, which :func:`posheaf.simplify.core` computes.
+removal loop and rule of :mod:`posheaf.simplify` run on it.  A space
+keeps the deterministic core that :func:`posheaf.simplify.core` finds.
 """
 
 from __future__ import annotations
@@ -283,26 +283,24 @@ class _WorkingSubspace:
     at a time.
 
     It holds the root, the cover tables `upper` and `lower` of the kept
-    elements, and the last space it built.  :meth:`remove` changes those
-    tables by the bridge rule (:func:`~posheaf.poset._unlink`) and builds
-    nothing.  :meth:`space` builds the current subspace from the last one
-    built: dict copies, the closures of the elements comparable to those
-    removed since, and the maps of the covers new since, taken from the
-    root sheaf's composites and checked for shape.  The root sheaf must
-    commute; every space built is verified and shares the root's memo of
-    composites.
+    elements (the one record of the subspace's covers) and the last
+    space it built.  :meth:`remove` changes those tables by the bridge
+    rule (:func:`~posheaf.poset._unlink`) and builds nothing.
+    :meth:`space` builds the current subspace from the last one built:
+    dict copies, the closures of the elements comparable to those
+    removed since, and the last space's maps less those of the covers
+    that went, plus the root sheaf's composite, checked for shape, for
+    each cover that came.  The root sheaf must commute; every space
+    built is verified and shares the root's memo of composites.
     """
 
-    __slots__ = ("root", "upper", "lower", "_built", "_removed", "_gone", "_added")
+    __slots__ = ("root", "upper", "lower", "_built")
 
     def __init__(self, sp: SheavedSpace):
         self.root = sp
         self.upper = dict(sp.poset._upper)
         self.lower = dict(sp.poset._lower)
         self._built = sp
-        # since the last build: the elements removed, the covers of the
-        # last space built that went, and the covers that came
-        self._removed, self._gone, self._added = set(), set(), set()
 
     def cover_map(self, u, v) -> Matrix:
         """The map of the current cover (u, v)."""
@@ -312,35 +310,25 @@ class _WorkingSubspace:
 
     def remove(self, s) -> None:
         require_commutative(self.root.sheaf)
-        gone, bridges = _unlink(self.upper, self.lower, self.root.poset._above, s)
-        self._removed.add(s)
-        for c in gone:
-            if c in self._added:
-                self._added.remove(c)
-            else:
-                self._gone.add(c)
-        self._added.update(bridges)
+        _unlink(self.upper, self.lower, self.root.poset._above, s)
 
     def space(self) -> SheavedSpace:
-        if not self._removed:
-            return self._built
         last, f = self._built, self.root.sheaf
-        sub = _subposet_without(last.poset, self._removed, dict(self.upper), dict(self.lower),
-                                last.poset.covers.difference(self._gone).union(self._added))
-        dims = dict(last.sheaf.stalk_dim)
-        for e in self._removed:
-            del dims[e]
+        if len(last.poset) == len(self.upper):
+            return last
+        removed = {e for e in last.poset.elements if e not in self.upper}
+        sub = _subposet_without(last.poset, removed, dict(self.upper), dict(self.lower))
+        dims = {e: d for e, d in last.sheaf.stalk_dim.items() if e not in removed}
         maps = dict(last.sheaf.cover_maps)
-        for c in self._gone:
+        for c in last.poset.covers - sub.covers:
             del maps[c]
-        for c in self._added:
+        for c in sub.covers - last.poset.covers:
             maps[c] = _checked_map(c, f.restriction(*c), f.ring, dims)
         g = object.__new__(Sheaf)
         g.base, g.ring, g.stalk_dim, g.cover_maps = sub, f.ring, dims, maps
         g._composites = f._composites
         g._verified = True
         self._built = SheavedSpace(sub, g)
-        self._removed, self._gone, self._added = set(), set(), set()
         return self._built
 
 

@@ -13,11 +13,11 @@ form decides the rest.
 
 Every removal loop (:func:`core`, :func:`simplify_pipeline`,
 :meth:`SimplificationTrace.replay`, :func:`find_beats`) runs on a working
-subspace of :mod:`posheaf.sheaf`, and the predicates of `RULES` take
-one.  The beat rules read its cover tables, so a beat removal builds
-nothing; the pass rules read the space it builds.  A space that a loop
-returns has no beat left, so it is recorded as its own core, and
-:func:`core` computes each space's deterministic core once.
+subspace of :mod:`posheaf.sheaf`, and the predicates of `RULES` take a
+working subspace only.  The beat rules read its cover tables, so a beat
+removal builds nothing; the pass rules read the space it builds.  A
+space that a loop returns has no beat left, so it is recorded as its
+own core, and :func:`core` computes each space's deterministic core once.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ def _is_upbeat(w: _WorkingSubspace, e) -> bool:
     return len(ups) == 1 and _invertible([w.cover_map(e, ups[0])])
 
 
-def _on_space(predicate):
-    """A pass rule: `predicate` on the space a working subspace builds
-    (or on a built space, as given)."""
-    return lambda w, e: predicate(w if isinstance(w, SheavedSpace) else w.space(), e)
-
-
 def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:
     """True iff the strict downset of s has acyclic order complex."""
     return _acyclic_closure(sp.poset, s)
@@ -101,8 +95,8 @@ def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
 RULES = {
     DOWNBEAT: lambda w, e: len(w.lower[e]) == 1,
     UPBEAT: _is_upbeat,
-    ACYCLIC_DOWNSET: _on_space(removable_by_acyclic_downset),
-    ACYCLIC_UPSET: _on_space(removable_by_acyclic_upset),
+    ACYCLIC_DOWNSET: lambda w, e: removable_by_acyclic_downset(w.space(), e),
+    ACYCLIC_UPSET: lambda w, e: removable_by_acyclic_upset(w.space(), e),
 }
 BEATS = (DOWNBEAT, UPBEAT)
 

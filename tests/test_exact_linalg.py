@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import reference_invariant_factors, reference_rank
+from posheaf import exact_linalg as linalg_module
 from posheaf.exact_linalg import (
     GF,
     QQ,
@@ -56,6 +57,15 @@ class TestRank:
     def test_integer_matrix_rejected(self):
         with pytest.raises(KindMismatchError):
             rank(Matrix.identity(ZZ, 2))
+
+    def test_computed_once_per_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg_module, "_eliminate",
+                            lambda m, fn=linalg_module._eliminate: calls.append(m) or fn(m))
+        m = M(GF(7), [[1, 2], [2, 4]])
+        assert rank(m) == rank(m) == 1
+        assert rank(M(GF(7), [[1, 2], [2, 4]])) == 1  # an equal matrix is another object
+        assert len(calls) == 2
 
 
 class TestKernel:

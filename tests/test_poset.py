@@ -4,6 +4,7 @@ import time
 import pytest
 
 from gen import random_poset
+from posheaf import poset as poset_module
 from posheaf.fixtures import (
     bing_house_poset,
     circle_with_apex,
@@ -20,7 +21,7 @@ from posheaf.poset import (
     PosetError,
     RedundantCoverError,
     UnknownElementError,
-    _remove_beat,
+    _unlink,
     build_poset,
     chain_count,
     collapses_to_point,
@@ -151,6 +152,13 @@ class TestBeats:
                 assert is_upbeat_poset(p, s) == dominated_up
 
 
+def cone_over_house():
+    """Bing's house with one top above its maximal elements."""
+    house = bing_house_poset()
+    return build_poset(list(house.elements) + ["top"],
+                       list(house.covers) + [(t, "top") for t in house.maximal_elements()])
+
+
 def collapses_by_rebuilding(p) -> bool:
     """Reference for `collapses_to_point`: remove any beat through a
     full rebuild of the poset until none is left."""
@@ -187,6 +195,9 @@ class TestCertificates:
         assert not collapses_to_point(four_point_circle())
         # contractible, but without a single beat
         assert not collapses_to_point(bing_house_poset())
+        # a cone: the top dominates the house, which then collapses
+        assert collapses_to_point(cone_over_house())
+        assert collapses_to_point(chain(*(f"c{i:04d}" for i in range(1100))))
 
     def test_collapse_matches_rebuilding_reference(self):
         rng = random.Random(137)
@@ -200,29 +211,39 @@ class TestCertificates:
         assert collapsed > 100
 
     def test_local_cover_update_matches_rebuild(self):
-        # after each beat removal the updated tables are the covers of
-        # the induced subposet, for down- and upbeats alike
+        # after each beat removal by `_unlink` the tables are the covers
+        # of the induced subposet, for down- and upbeats alike
         rng = random.Random(149)
         removed = {"down": 0, "up": 0}
         for _ in range(150):
-            p = q = random_poset(rng, rng.randint(2, 12))
-            lower = {e: set(us) for e, us in p._lower.items()}
-            upper = {e: set(vs) for e, vs in p._upper.items()}
+            p = random_poset(rng, rng.randint(2, 12))
+            upper, lower = dict(p._upper), dict(p._lower)
             while True:
-                beats = [e for e in q.elements if len(lower[e]) == 1 or len(upper[e]) == 1]
+                beats = [e for e in lower if len(lower[e]) == 1 or len(upper[e]) == 1]
                 if not beats:
                     break
                 x = rng.choice(beats)
                 removed["down" if len(lower[x]) == 1 else "up"] += 1
-                degrees = {e: (len(lower[e]), len(upper[e])) for e in q.elements}
-                touched = _remove_beat(p, x, lower, upper)
-                q = remove_element(q, x)
-                assert lower == {e: set(q.lower_covers(e)) for e in q.elements}
-                assert upper == {e: set(q.upper_covers(e)) for e in q.elements}
-                # only the returned elements can change their beat status
-                assert {e for e in q.elements
-                        if degrees[e] != (len(lower[e]), len(upper[e]))} <= set(touched)
+                degrees = {e: (len(lower[e]), len(upper[e])) for e in lower}
+                neighbours = set(lower[x] + upper[x])
+                _unlink(upper, lower, p._above, x)
+                q = induced_subposet(p, lower)
+                assert lower == {e: q.lower_covers(e) for e in q.elements}
+                assert upper == {e: q.upper_covers(e) for e in q.elements}
+                # only the covers of x can change their cover counts
+                assert {e for e in lower
+                        if degrees[e] != (len(lower[e]), len(upper[e]))} <= neighbours
         assert min(removed.values()) > 200
+
+    @pytest.mark.parametrize("p", [chain(*"abcdefgh"), circle_with_apex(), p5_gadget(),
+                                   cone_over_house()],
+                             ids=["8-chain", "circle-with-apex", "p5-gadget", "house-cone"])
+    def test_collapse_unlinks_each_beat_once(self, monkeypatch, p):
+        calls = []
+        monkeypatch.setattr(poset_module, "_unlink",
+                            lambda *a, fn=_unlink: calls.append(a[-1]) or fn(*a))
+        assert collapses_to_point(p)
+        assert len(calls) == len(set(calls)) == len(p) - 1
 
     def test_subposets_share_the_verdict_memo(self):
         p = p5_gadget()
