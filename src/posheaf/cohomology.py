@@ -21,7 +21,7 @@ vertex at position i (from 0) of the cell's name-sorted vertices carries
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact_linalg import ZZ, Matrix, compose, rank, smith_normal_form
 from .poset import OrderComplex, order_complex, simplicial_vertices
@@ -61,12 +61,11 @@ class CochainComplex:
         return f"CochainComplex(degrees={self.degrees})"
 
 
-@dataclass(frozen=True)
-class HomologyResult:
-    """Per-degree Betti numbers, plus torsion coefficients over Z."""
+class HomologyResult(namedtuple("HomologyResult", "betti torsion", defaults=((),))):
+    """Per-degree Betti numbers (`betti`), plus torsion coefficients over
+    Z (`torsion`, one tuple per degree; empty by default)."""
 
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ()
 
     def betti_trimmed(self) -> tuple[int, ...]:
         b = list(self.betti)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -30,13 +30,14 @@ class DocumentError(Exception):
     """Structural problem in a space document."""
 
 
-@dataclass
-class SpaceDocument:
-    field_tag: str  # "Q" | "GF:<p>" | "Z"
-    elements: tuple
-    covers: tuple  # of (lower, upper) pairs
-    stalks: Optional[dict] = None  # name -> dimension; None = constant rank 1
-    maps: Optional[dict] = None  # (lower, upper) -> rows of scalar strings
+class SpaceDocument(namedtuple("SpaceDocument", "field_tag elements covers stalks maps",
+                               defaults=(None, None))):
+    """A parsed document: `field_tag` ("Q", "GF:<p>" or "Z"), the
+    `elements`, the `covers` as (lower, upper) pairs, and the sheaf
+    block: `stalks` (name -> dimension) and `maps` ((lower, upper) ->
+    rows of scalar strings), both None for the constant rank-1 sheaf."""
+
+    __slots__ = ()
 
     def has_sheaf_block(self) -> bool:
         return self.stalks is not None
@@ -153,7 +154,7 @@ def _parse_scalar(s, ring):
     if not _SCALAR_RE.fullmatch(s):
         raise DocumentError(f"bad scalar {s!r}: want an integer or a fraction like '-1/2'")
     try:
-        value = Fraction(s)
+        value = Fraction(s) if "/" in s else int(s)
     except (ValueError, ZeroDivisionError):  # "1/0"; more digits than int() takes
         raise DocumentError(f"bad scalar {s!r}")
     try:

@@ -1,8 +1,11 @@
 """Exact sparse matrices over Q, GF(p) and Z.
 
 Ranks, kernels and Smith normal forms are computed exactly; no floating
-point anywhere.  Matrices are immutable and store only their nonzero
-entries, row by row; the dense `entries` view is derived on demand.
+point anywhere.  An element of Q is a Python int when it is integral
+and a reduced Fraction otherwise, so integral entries never pay for
+Fraction arithmetic; every division goes through one exact helper.
+Matrices are immutable and store only their nonzero entries, row by
+row; the dense `entries` view is derived on demand.
 One sparse elimination kernel (shortest row first, then the sparsest
 column, preferring +-1 pivots) serves rank, kernel bases and the unit
 phase of the Smith normal form.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,19 +68,31 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
+def _canonical(q):
+    """q as an element of Q: an int when integral, else a Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _divide(a, b):
+    """a / b in Q, exactly; a Python int division would give a float."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    return _canonical(a / b)
+
+
 class Rationals:
-    """The field Q; elements are fractions.Fraction (always reduced)."""
+    """The field Q; an element is an int when it is integral and a
+    fractions.Fraction with denominator > 1 otherwise."""
 
     name = "Q"
     is_field = True
 
     def coerce(self, x):
-        if type(x) is Fraction:  # the common cases skip the ABC checks
+        if type(x) is int:  # the common cases skip the ABC checks
             return x
-        if type(x) is int:
-            return Fraction(x)
-        x = _exact(x)
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(_exact(x))
+        return _canonical(x)
 
     def __repr__(self):
         return "QQ"
@@ -329,7 +344,7 @@ def _eliminate(m: Matrix):
         for j in row:
             col_rows[j].discard(i)
         if key[0]:
-            inv = pow(pv, -1, p) if p is not None else 1 / pv
+            inv = pow(pv, -1, p) if p is not None else _divide(1, pv)
         else:
             inv = pv  # +-1 is its own inverse
         for t in col_rows.pop(pj):
@@ -337,12 +352,16 @@ def _eliminate(m: Matrix):
             f = dt.pop(pj) * inv
             if p is not None:
                 f %= p
+            elif type(f) is Fraction:
+                f = _canonical(f)
             for j, v in row.items():
                 if j == pj:
                     continue
                 nv = dt.get(j, 0) - f * v
                 if p is not None:
                     nv %= p
+                elif type(nv) is Fraction:
+                    nv = _canonical(nv)
                 if nv:
                     if j not in dt:
                         col_rows[j].add(t)
@@ -387,25 +406,25 @@ def kernel_basis(m: Matrix) -> list[tuple]:
             if p is not None:
                 s = -s * pow(row[c], -1, p) % p
             else:
-                s = -s / row[c]
+                s = _divide(-s, row[c])
             if s:
                 x[c] = s
         basis.append(tuple(x.get(j, zero) for j in range(m.cols)))
     return basis
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "diagonal")):
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
-    diagonal: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in zip(self.diagonal, self.diagonal[1:]):
+    def __new__(cls, diagonal: tuple[int, ...]):
+        for a, b in zip(diagonal, diagonal[1:]):
             if b % a != 0:
-                raise LinalgError(f"broken divisibility chain: {self.diagonal}")
-        if any(d < 1 for d in self.diagonal):
-            raise LinalgError(f"nonpositive invariant factor: {self.diagonal}")
+                raise LinalgError(f"broken divisibility chain: {diagonal}")
+        if any(d < 1 for d in diagonal):
+            raise LinalgError(f"nonpositive invariant factor: {diagonal}")
+        return super().__new__(cls, diagonal)
 
     @property
     def rank(self) -> int:

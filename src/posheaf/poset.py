@@ -9,8 +9,9 @@ first use.  Downsets and upsets go through :func:`build_poset` again.
 Removing elements needs no rebuild.  The cover tables are the one
 record of a subposet's covers, and :func:`_unlink`, the one code that
 edits them, takes one element out by the bridge rule, in place;
-:func:`_subposet_without` reads the subposet off them, shrinking only
-the closures of the elements comparable to those removed.
+:func:`_subposet_without` reads the subposet off them, comparing only
+the rows next to the removed elements and shrinking only the closures
+of the elements comparable to them.
 :func:`remove_element` is the two for one element; the working
 subspace of :mod:`posheaf.sheaf` and :func:`collapses_to_point` call
 :func:`_unlink` for many.
@@ -275,7 +276,7 @@ def remove_element(p: Poset, s) -> Poset:
     p._check(s)
     upper, lower = dict(p._upper), dict(p._lower)
     _unlink(upper, lower, p._above, s)
-    return _subposet_without(p, {s}, upper, lower)
+    return _subposet_without(p, {s}, upper, lower)[0]
 
 
 def _unlink(upper: dict, lower: dict, above: dict, s) -> None:
@@ -299,20 +300,28 @@ def _unlink(upper: dict, lower: dict, above: dict, s) -> None:
                                 + [a for (a, y) in bridges if y == b]))
 
 
-def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict) -> Poset:
+def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict):
     """The subposet of p on the elements not in `removed`, which takes
-    over the cover tables and reads its covers off them.  A closure that
-    meets `removed` loses it; every other closure is p's own.  The
-    result shares p's acyclicity verdicts."""
+    over the cover tables, and the sets of covers that went and came.
+
+    A cover between kept elements stays one, so the covers that went are
+    p's covers at the removed elements.  A cover that came spans a
+    chain of removed elements, so it starts at a kept lower cover of one
+    of them: only those rows of `upper` are compared with p's.  A
+    closure that meets `removed` loses it; every other closure is p's
+    own.  The result shares p's acyclicity verdicts."""
     def shrunk(closure):
         return {x: c if c.isdisjoint(removed) else c - removed
                 for x, c in closure.items() if x not in removed}
 
-    covers = frozenset((u, v) for u, vs in upper.items() for v in vs)
-    q = Poset(tuple(e for e in p.elements if e not in removed), covers, upper, lower,
-              shrunk(p._above), shrunk(p._below))
+    went = {(a, s) for s in removed for a in p._lower[s]}
+    went.update((s, b) for s in removed for b in p._upper[s])
+    came = {(a, b) for a in {a for a, _ in went if a not in removed}
+            for b in upper[a] if b not in p._upper[a]}
+    q = Poset(tuple(e for e in p.elements if e not in removed), (p.covers - went) | came,
+              upper, lower, shrunk(p._above), shrunk(p._below))
     q._acyclic = p._acyclic
-    return q
+    return q, went, came
 
 
 def collapses_to_point(p: Poset) -> bool:

@@ -317,12 +317,13 @@ class _WorkingSubspace:
         if len(last.poset) == len(self.upper):
             return last
         removed = {e for e in last.poset.elements if e not in self.upper}
-        sub = _subposet_without(last.poset, removed, dict(self.upper), dict(self.lower))
+        sub, went, came = _subposet_without(last.poset, removed, dict(self.upper),
+                                            dict(self.lower))
         dims = {e: d for e, d in last.sheaf.stalk_dim.items() if e not in removed}
         maps = dict(last.sheaf.cover_maps)
-        for c in last.poset.covers - sub.covers:
+        for c in went:
             del maps[c]
-        for c in sub.covers - last.poset.covers:
+        for c in came:
             maps[c] = _checked_map(c, f.restriction(*c), f.ring, dims)
         g = object.__new__(Sheaf)
         g.base, g.ring, g.stalk_dim, g.cover_maps = sub, f.ring, dims, maps

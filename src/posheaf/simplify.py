@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .cohomology import is_acyclic
@@ -112,23 +112,23 @@ STRATEGY_RULES = {
 STRATEGIES = tuple(STRATEGY_RULES)
 
 
-@dataclass(frozen=True)
-class BeatReport:
-    element: object
-    kind: str  # DOWNBEAT or UPBEAT
+class BeatReport(namedtuple("BeatReport", "element kind")):
+    """A beat `element` and its `kind`: DOWNBEAT or UPBEAT."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    removed: object
-    rule: str
+class TraceStep(namedtuple("TraceStep", "removed rule")):
+    """One removal: the `removed` element and the `rule` that allowed it."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimplificationTrace:
-    steps: tuple[TraceStep, ...]
-    initial: SheavedSpace
-    final: SheavedSpace
+class SimplificationTrace(namedtuple("SimplificationTrace", "steps initial final")):
+    """The `steps` (a tuple of TraceStep) that lead from the `initial`
+    sheaved space to the `final` one."""
+
+    __slots__ = ()
 
     def replay(self) -> SheavedSpace:
         """Re-run every removal from the initial space, re-checking the

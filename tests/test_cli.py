@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from posheaf import sheaf as sheaf_module
 from posheaf import simplify as simplify_module
 from posheaf.cli import main
 from posheaf.cohomology import integral_homology, sheaf_cohomology
-from posheaf.documents import parse_space, space_to_data
+from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.fixtures import (
     bing_house_poset,
@@ -23,7 +24,7 @@ from posheaf.fixtures import (
     four_point_circle,
 )
 from posheaf.poset import build_poset, order_complex
-from posheaf.sheaf import SheavedSpace, constant_sheaf, restrict
+from posheaf.sheaf import Sheaf, SheavedSpace, constant_sheaf, restrict
 from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep
 from test_cohomology import RP2
 
@@ -528,6 +529,18 @@ class TestSimplifyAndCore:
             calls.clear()
 
 
+def _rescaled(rng, sp):
+    """An isomorphic space whose maps have non-integral entries: every
+    stalk basis vector is scaled by 2, -3 or 1/2."""
+    f = sp.sheaf
+    d = {e: [rng.choice((2, -3, Fraction(1, 2))) for _ in range(n)] for e, n in f.stalk_dim.items()}
+    maps = {(u, v): Matrix(QQ, m.rows, m.cols,
+                           [[Fraction(x) * d[v][i] / d[u][j] for j, x in enumerate(row)]
+                            for i, row in enumerate(m.entries)])
+            for (u, v), m in f.cover_maps.items()}
+    return SheavedSpace(sp.poset, Sheaf(sp.poset, QQ, f.stalk_dim, maps))
+
+
 class TestRoundTrip:
     def test_scalars_survive_serialization(self, tmp_path, capsys):
         rng = random.Random(89)
@@ -538,6 +551,30 @@ class TestRoundTrip:
             assert main(["cohomology", path]) == 0
             report = json.loads(capsys.readouterr().out)
             assert report["betti"] == list(sheaf_cohomology(sp).betti_trimmed())
+
+    @pytest.mark.parametrize("make, non_integral", [
+        (lambda: SheavedSpace(bing_house_poset(), constant_sheaf(bing_house_poset(), QQ)), False),
+        (lambda: _rescaled(random.Random(7), random_space(random.Random(7),
+                                                          random_poset(random.Random(7), 9), QQ)),
+         True),
+    ], ids=["house", "gauged-random"])
+    def test_maps_survive_a_round_trip(self, make, non_integral):
+        data = space_to_data(make(), "Q")
+        scalars = [x for rows in data["sheaf"]["maps"].values() for row in rows for x in row]
+        assert any("/" in x for x in scalars) == non_integral
+        again = space_to_data(document_space(parse_space(data)), "Q")
+        assert again["sheaf"]["maps"] == data["sheaf"]["maps"]
+        assert again == data
+
+    def test_scalars_are_written_canonically(self):
+        data = {"field": "Q", "elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]],
+                "sheaf": {"stalks": {"a": 1, "b": 1, "c": 1},
+                          "maps": {"a->b": [["+6/4"]], "b->c": [["-007"]]}}}
+        sp = document_space(parse_space(data))
+        entries = {c: m[0, 0] for c, m in sp.sheaf.cover_maps.items()}
+        assert entries == {("a", "b"): Fraction(3, 2), ("b", "c"): -7}
+        assert type(entries[("b", "c")]) is int
+        assert space_to_data(sp, "Q")["sheaf"]["maps"] == {"a->b": [["3/2"]], "b->c": [["-7"]]}
 
 
 SCALARS = st.one_of(

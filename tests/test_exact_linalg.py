@@ -260,9 +260,9 @@ def test_dense_and_sparse_construction_agree(rows):
     m = M(QQ, rows)
     s = Matrix.from_sparse(QQ, m.rows, m.cols,
                            [{j: x for j, x in enumerate(row)} for row in rows])
-    assert m.entries == tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert m.entries == tuple(tuple(row) for row in rows)
     assert m == s and hash(m) == hash(s)
-    assert all(isinstance(x, Fraction) for row in m.entries for x in row)
+    assert all(type(x) is int for row in m.entries for x in row)
 
 
 @pytest.mark.parametrize("make", [
@@ -289,11 +289,70 @@ class _Fraction(Fraction):
 @settings(max_examples=200, deadline=None)
 def test_coerce_fast_path_matches_general_path(n, d, ring):
     fast, general = ring.coerce(n), ring.coerce(_Int(n))
-    assert fast == general and type(fast) is type(general)
-    assert type(fast) is (Fraction if ring == QQ else int)
+    assert fast == general and type(fast) is type(general) is int
     if ring == QQ:
         q = Fraction(n, d)
-        assert ring.coerce(q) == ring.coerce(_Fraction(n, d)) == q
+        for x in (ring.coerce(q), ring.coerce(_Fraction(n, d)), ring.coerce(f"{n}/{d}")):
+            assert x == q and _canonical_q(x)
+
+
+def _canonical_q(x) -> bool:
+    """x is an element of Q in canonical form: an int iff integral,
+    otherwise a Fraction with denominator > 1; never a float or a bool."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+Q_ENTRIES = {
+    "integral": [0, 0, 0, 1, -1, 2, -3, 6],
+    "non-integral": [0, 0, 0, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3), Fraction(-7, 4)],
+    "mixed": [0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 1)],
+}
+q_matrices = st.sampled_from(sorted(Q_ENTRIES)).flatmap(
+    lambda kind: st.integers(1, 7).flatmap(
+        lambda r: st.integers(1, 7).flatmap(
+            lambda c: st.lists(
+                st.lists(st.sampled_from(Q_ENTRIES[kind]), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+)
+
+
+@given(q_matrices)
+@settings(max_examples=150, deadline=None)
+def test_rational_results_are_exact_and_canonical(rows):
+    # Fraction(4, 1) is integral, so it must come out as the int 4
+    m = M(QQ, rows)
+    assert all(_canonical_q(x) for row in m.entries for x in row)
+    assert rank(m) == reference_rank(rows)
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - rank(m)
+    for v in basis:
+        assert all(_canonical_q(x) for x in v)
+        assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert all(_canonical_q(x) and x == 0 for x in m.apply(v))
+    assert all(_canonical_q(x) for x in m.apply([Fraction(j + 1, 3) for j in range(m.cols)]))
+    mt = M(QQ, [list(col) for col in zip(*rows)])
+    for product in (compose(m, mt), compose(mt, m)):
+        assert all(_canonical_q(x) for row in product.entries for x in row)
+        assert all(_canonical_q(x) for row in product.sparse for x in row.values())
+    if basis:
+        k = Matrix(QQ, m.cols, len(basis), [list(col) for col in zip(*basis)])
+        assert compose(m, k).is_zero()
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # every CLI run pays for these: dataclasses imports inspect, and the
+    # two took about half of the package's own import time
+    import posheaf
+
+    src = os.path.dirname(os.path.dirname(posheaf.__file__))
+    code = ("import sys; before = set(sys.modules); import posheaf.cli; "
+            "sys.exit(bool({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_import_does_not_load_numpy():
