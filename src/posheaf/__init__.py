@@ -8,8 +8,6 @@ from .poset import (
     Poset,
     build_poset,
     downset,
-    is_downbeat,
-    is_upbeat_poset,
     leq,
     order_complex,
     posets_isomorphic,
@@ -48,6 +46,6 @@ from .simplify import (
     find_beats,
     remove_acyclic_downset,
     removable_by_acyclic_downset,
-    removable_by_acyclic_upset_constant,
+    removable_by_acyclic_upset,
     simplify_pipeline,
 )

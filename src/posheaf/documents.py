@@ -137,11 +137,11 @@ def parse_space(data) -> SpaceDocument:
 
 def load_space(path) -> SpaceDocument:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, an int past Python's digit limit
         raise DocumentError(f"invalid JSON in {path}: {e}")
     except RecursionError:
         raise DocumentError(f"JSON in {path} is nested too deeply")

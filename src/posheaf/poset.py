@@ -68,7 +68,7 @@ class Poset:
     and hands over the cover and closure tables it computed.
     """
 
-    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower", "_index",
+    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower",
                  "_mobius", "_acyclic")
 
     def __init__(self, elements: tuple, covers: frozenset, upper: dict, lower: dict,
@@ -79,7 +79,6 @@ class Poset:
         self._lower = lower
         self._above = above
         self._below = below
-        self._index = {e: i for i, e in enumerate(elements)}
         self._mobius = [None, None]  # the order's table, then the dual's
         # element set -> acyclicity verdict; shared with every induced subposet
         self._acyclic = {}
@@ -87,7 +86,7 @@ class Poset:
     # -- queries ------------------------------------------------------
 
     def __contains__(self, e) -> bool:
-        return e in self._index
+        return e in self._upper
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -107,7 +106,7 @@ class Poset:
 
     def _check(self, *els):
         for e in els:
-            if e not in self._index:
+            if e not in self._upper:
                 raise UnknownElementError(f"unknown element: {e!r}")
 
     def upper_covers(self, e) -> tuple:
@@ -333,6 +332,10 @@ def collapses_to_point(p: Poset) -> bool:
     unique up to isomorphism, so the order of removals does not matter.
     Each beat is taken out of copies of p's tables by :func:`_unlink`,
     and only its covers, whose cover counts change, are tested again.
+
+    The beat test is order-theoretic only: this certifies that an order
+    complex is contractible and removes nothing from a sheaved space,
+    whose removals `posheaf.simplify.RULES` alone decides.
     """
     upper, lower = dict(p._upper), dict(p._lower)
     todo = list(p.elements)
@@ -342,16 +345,6 @@ def collapses_to_point(p: Poset) -> bool:
             todo += lower[x] + upper[x]
             _unlink(upper, lower, p._above, x)
     return len(lower) == 1
-
-
-def is_downbeat(p: Poset, s) -> bool:
-    """s has a unique lower cover (which then dominates everything below)."""
-    return len(p.lower_covers(s)) == 1
-
-
-def is_upbeat_poset(p: Poset, s) -> bool:
-    """s has a unique upper cover (order-theoretic condition only)."""
-    return len(p.upper_covers(s)) == 1
 
 
 class OrderComplex:

@@ -249,7 +249,7 @@ def strict_down_sheaf(p: Poset, s, ring, w: int = 1) -> Sheaf:
 def skyscraper_sheaf(p: Poset, s, ring, w: int = 1) -> Sheaf:
     """Stalk W at s only; every map touching s is zero."""
     p._check(s)
-    return _supported_sheaf(p, {s}, ring, w, identity_inside=False)
+    return _supported_sheaf(p, {s}, ring, w)
 
 
 def ideal_sheaf(p: Poset, ideal, ring, w: int = 1) -> Sheaf:
@@ -265,13 +265,13 @@ def ideal_sheaf(p: Poset, ideal, ring, w: int = 1) -> Sheaf:
     return _supported_sheaf(p, ideal, ring, w)
 
 
-def _supported_sheaf(p: Poset, support: set, ring, w: int, identity_inside=True) -> Sheaf:
+def _supported_sheaf(p: Poset, support: set, ring, w: int) -> Sheaf:
     if w < 0:
         raise SheafError("negative rank")
     dims = {e: (w if e in support else 0) for e in p.elements}
     maps = {}
     for (u, v) in p.covers:
-        if identity_inside and u in support and v in support:
+        if u in support and v in support:
             maps[(u, v)] = Matrix.identity(ring, w)
         else:
             maps[(u, v)] = Matrix.zeros(ring, dims[v], dims[u])

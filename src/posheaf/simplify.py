@@ -86,11 +86,6 @@ def removable_by_acyclic_upset(sp: SheavedSpace, s) -> bool:
         [sp.sheaf.cover_maps[(u, v)] for u in (s, *p.strictly_above(s)) for v in p.upper_covers(u)])
 
 
-def removable_by_acyclic_upset_constant(p: Poset, s) -> bool:
-    """Down- or upset acyclicity; valid for constant coefficients only."""
-    return _acyclic_closure(p, s) or _acyclic_closure(p, s, dual=True)
-
-
 # rule -> its predicate on a working subspace and an element
 RULES = {
     DOWNBEAT: lambda w, e: len(w.lower[e]) == 1,

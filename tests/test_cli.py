@@ -615,3 +615,24 @@ def test_hostile_documents_exit_with_documented_codes(tmp_path_factory, data):
     path = write_doc(tmp_path_factory.getbasetemp(), data, name="fuzz.json")
     for command in COMMANDS:
         assert main([command[0], path, *command[1:]]) in {0, 1, 2, 3, 4, 5}, command
+
+
+UNDECODABLE = {
+    "utf-16": b"\xff\xfe" + json.dumps(circle_doc()).encode("utf-16-le"),
+    "long-stalk-dimension": b'{"field": "Q", "elements": ["a"], "covers": [], '
+                            b'"sheaf": {"stalks": {"a": ' + b"1" * 5000 + b'}, "maps": {}}}',
+    "long-generator": b'{"generator": ' + b"7" * 5000
+                      + b', "field": "Q", "elements": ["a"], "covers": []}',
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "homology", "simplify", "core"])
+@pytest.mark.parametrize("raw", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_undecodable_documents_exit_2(tmp_path, capsys, command, raw):
+    # not UTF-8, or a JSON integer past Python's 4,300-digit limit
+    path = tmp_path / "space.json"
+    path.write_bytes(raw)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid document") and "Traceback" not in captured.err

@@ -27,8 +27,6 @@ from posheaf.poset import (
     collapses_to_point,
     downset,
     induced_subposet,
-    is_downbeat,
-    is_upbeat_poset,
     leq,
     order_complex,
     posets_isomorphic,
@@ -117,7 +115,18 @@ class TestOrderQueries:
         assert set(u.elements) == {"x", "y"} and not u.covers
 
 
+def is_downbeat(p, s) -> bool:
+    return len(p.lower_covers(s)) == 1
+
+
+def is_upbeat(p, s) -> bool:
+    return len(p.upper_covers(s)) == 1
+
+
 class TestBeats:
+    """Order-theoretic beats; which of them the library may remove from a
+    sheaved space is `simplify.RULES`'s call (tests/test_simplify.py)."""
+
     def test_chain_top_is_downbeat(self):
         p = chain("a", "b")
         assert is_downbeat(p, "b")
@@ -125,17 +134,17 @@ class TestBeats:
 
     def test_chain_bottom_is_upbeat(self):
         p = chain("a", "b")
-        assert is_upbeat_poset(p, "a")
-        assert not is_upbeat_poset(p, "b")
+        assert is_upbeat(p, "a")
+        assert not is_upbeat(p, "b")
 
     def test_circle_has_no_beats(self):
         p = four_point_circle()
         for e in p.elements:
             assert not is_downbeat(p, e)
-            assert not is_upbeat_poset(p, e)
+            assert not is_upbeat(p, e)
 
     def test_degree_one_equivalent_to_domination(self):
-        # in-degree-1 test agrees with the order-theoretic definition
+        # Stong: one lower (upper) cover iff dominated from below (above)
         rng = random.Random(7)
         for _ in range(40):
             p = random_poset(rng, rng.randint(2, 9))
@@ -149,7 +158,7 @@ class TestBeats:
                 dominated_up = any(
                     all(leq(p, a, b) for b in above) for a in above
                 )
-                assert is_upbeat_poset(p, s) == dominated_up
+                assert is_upbeat(p, s) == dominated_up
 
 
 def cone_over_house():
@@ -163,7 +172,7 @@ def collapses_by_rebuilding(p) -> bool:
     """Reference for `collapses_to_point`: remove any beat through a
     full rebuild of the poset until none is left."""
     while len(p) > 1:
-        beats = [e for e in p.elements if is_downbeat(p, e) or is_upbeat_poset(p, e)]
+        beats = [e for e in p.elements if is_downbeat(p, e) or is_upbeat(p, e)]
         if not beats:
             return False
         p = remove_element(p, beats[0])

@@ -62,13 +62,17 @@ from posheaf.simplify import (
     remove_acyclic_downset,
     removable_by_acyclic_downset,
     removable_by_acyclic_upset,
-    removable_by_acyclic_upset_constant,
     simplify_pipeline,
 )
 
 
 def const_space(p, ring=QQ, r=1):
     return SheavedSpace(p, constant_sheaf(p, ring, r))
+
+
+def removable_updown(sp, s) -> bool:
+    """What the constant-updown pass accepts at s."""
+    return removable_by_acyclic_downset(sp, s) or removable_by_acyclic_upset(sp, s)
 
 
 def unreduced_betti(sp):
@@ -268,13 +272,13 @@ class TestAcyclicRemovals:
         assert checked >= 15
 
     def test_updown_predicate_covers_both_sides(self):
-        p = p5_gadget()
-        assert removable_by_acyclic_upset_constant(p, "s")  # acyclic downset
-        assert removable_by_acyclic_upset_constant(p, "a")  # upset is a chain
-        circle = four_point_circle()
-        for e in circle.elements:
+        sp = const_space(p5_gadget())
+        assert removable_updown(sp, "s")  # acyclic downset
+        assert removable_updown(sp, "a")  # upset is a chain
+        circle = const_space(four_point_circle())
+        for e in circle.poset.elements:
             # empty on one side, a two-point antichain on the other
-            assert not removable_by_acyclic_upset_constant(circle, e)
+            assert not removable_updown(circle, e)
 
 
 def skyscraper_2_chain():
@@ -341,7 +345,7 @@ class TestAcyclicUpsetAgainstSlowReference:
                              ids=["skyscraper-2-chain", "diamond-zero-top"])
     def test_refuses_a_map_that_is_not_invertible(self, space):
         sp = space()
-        assert removable_by_acyclic_upset_constant(sp.poset, "x")  # acyclic upset
+        assert removable_by_acyclic_upset(const_space(sp.poset), "x")  # acyclic upset
         assert not RULES[ACYCLIC_UPSET](_WorkingSubspace(sp), "x")
         assert unreduced_betti(sp) == (1,)
         assert unreduced_betti(restrict(sp, set(sp.poset.elements) - {"x"})) != (1,)
@@ -361,7 +365,6 @@ class TestAcyclicityCertificates:
             down, up = reference_acyclic(p, s), reference_acyclic(p, s, dual=True)
             assert removable_by_acyclic_downset(sp, s) == down
             assert removable_by_acyclic_upset(sp, s) == up
-            assert removable_by_acyclic_upset_constant(p, s) == (down or up)
 
     def test_each_certificate_agrees_with_smith_form(self):
         rng = random.Random(139)
@@ -513,11 +516,13 @@ def _zero_map_space():
         (_zero_map_space, TraceStep("b", "acyclic-upset")),
         # b is a downbeat only: it has no upper cover
         (lambda: const_space(build_poset(["a", "b"], [("a", "b")])), TraceStep("b", UPBEAT)),
+        # x has one upper cover, but the map x -> y is 0 x 1
+        (skyscraper_2_chain, TraceStep("x", UPBEAT)),
         (lambda: const_space(circle_with_apex()), TraceStep("s", ACYCLIC_DOWNSET)),
         (lambda: const_space(p5_gadget()), TraceStep("nope", DOWNBEAT)),
         (lambda: const_space(p5_gadget()), TraceStep("s", "weak-point")),
     ],
-    ids=["constant-only-rule", "wrong-beat-kind", "downset-not-acyclic",
+    ids=["constant-only-rule", "wrong-beat-kind", "upbeat-not-invertible", "downset-not-acyclic",
          "missing-element", "unknown-rule"],
 )
 def test_replay_refuses_invalid_step(space, step):

@@ -1,4 +1,5 @@
-"""Checks on the benchmark's tooling that need only the library.
+"""Checks on the benchmark's tooling, and on README's library example,
+that need only the library.
 
 `perfbench/spans.py` skips a traced name that no longer exists, so a
 rename would silently drop that layer's metrics from the traced run.
@@ -7,7 +8,10 @@ run makes through that name; its `sheaf.restrict` metrics read 0 on the
 benchmark's workloads, whose removals never call `restrict`.
 """
 
+import contextlib
 import importlib.util
+import io
+import re
 import sys
 from pathlib import Path
 
@@ -19,7 +23,8 @@ from posheaf.exact_linalg import QQ
 from posheaf.fixtures import circle_with_apex, p5_gadget
 from posheaf.sheaf import SheavedSpace, constant_sheaf
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -67,3 +72,14 @@ def test_find_beats_once_per_run_and_no_restrict(strategy, monkeypatch):
         _, trace = simplify.core(sp)
         assert trace.steps
         assert calls == {"find_beats": 1, "restrict": 0}
+
+
+def test_readme_library_example_runs():
+    """README's "Library example" uses only exported names and prints the
+    circle's Betti numbers first."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines()[0] == "(1, 1)"
