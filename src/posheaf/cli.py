@@ -1,18 +1,18 @@
 """Command-line front end.
 
-Commands: validate, cohomology, homology, simplify, core.  Sheaf
-cohomology is computed on the beat core, with the cellular complex if
-the core is a simplicial face poset and the Roos complex otherwise.
-Every `simplify` strategy takes any sheaf; Z documents (the constant
-sheaf, certified by integral homology) take `core` and every strategy.
-Reports go to stdout as JSON, diagnostics to stderr.  Exit codes:
-0 success, 1 usage (also an `--out` path that cannot be written),
-2 parse/structure, 3 commutativity (naming a pair u < v whose
-composites along two cover paths differ), 4 the replay refused the
-trace, 5 input too large (an order complex over
-`poset.MAX_CHAINS` chains; for `homology`, of the input; for
-`cohomology`, of the beat core; for `simplify` and `core`, of the
-reduced space: the only spaces whose complexes they build).
+Commands: validate, cohomology, homology, simplify, core.  Every
+complex is built on a beat core: sheaf cohomology on the core of the
+sheaved space, with the cellular complex if the core is a simplicial
+face poset and the Roos complex otherwise; integral homology on the
+order-theoretic core of the poset (`poset.beat_core`).  Every `simplify`
+strategy takes any sheaf; Z documents (the constant sheaf, certified by
+integral homology) take `core` and every strategy.  Reports go to
+stdout as JSON, diagnostics to stderr.  Exit codes: 0 success, 1 usage
+(also an `--out` path that cannot be written), 2 parse/structure,
+3 commutativity (naming a pair u < v whose composites along two cover
+paths differ), 4 the replay refused the trace, 5 input too large: the
+order complex of a beat core that a command builds on has more than
+`poset.MAX_CHAINS` chains.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .documents import (
     load_space,
     space_to_data,
 )
-from .poset import ChainCountError, order_complex
+from .poset import ChainCountError, beat_core, order_complex
 from .sheaf import check_commutativity
 from .simplify import (
     STRATEGIES,
@@ -156,8 +156,7 @@ def cmd_homology(args) -> int:
         print("warning: sheaf block ignored for integral homology", file=sys.stderr)
     sp = document_space(doc)
     t0 = time.monotonic()
-    k = order_complex(sp.poset)
-    unred = integral_homology(k, reduced=False)
+    unred = integral_homology(order_complex(beat_core(sp.poset)), reduced=False)
     red = reduce_homology(unred)
     report = {
         "generator": _generator(),
@@ -174,7 +173,7 @@ def cmd_homology(args) -> int:
 
 def _cohomology_for_certification(doc, sp) -> HomologyResult:
     if doc.field_tag == "Z":
-        return integral_homology(order_complex(sp.poset), reduced=True)
+        return integral_homology(order_complex(beat_core(sp.poset)), reduced=True)
     return sheaf_cohomology(sp)
 
 

@@ -5,11 +5,11 @@ the same cohomology, from one of two complexes with that cohomology.
 On the face poset of a simplicial complex (recognised by
 :func:`~posheaf.poset.simplicial_vertices`) it is the cellular complex:
 each face contributes its stalk once.  On any other poset it is the Roos
-complex: each chain contributes the stalk at its top element.  Both are
-assembled by one routine from their cells and each cell's faces.
-Simplicial cochain complexes of order complexes give constant
-coefficients; cohomology over a field comes from exact ranks, integral
-homology from Smith normal forms of the coboundaries.
+complex: each chain contributes the stalk at its top element.
+Simplicial cochain complexes of order complexes (built on
+:func:`~posheaf.poset.beat_core`) give constant coefficients.  All
+three come from one routine, :func:`_assemble`.  Cohomology over a field
+comes from exact ranks, integral homology from Smith normal forms.
 
 Sign convention: the vertices of every chain are listed in poset order
 and the i-th face carries sign (-1)^i.  In the Roos differential only
@@ -90,15 +90,14 @@ class HomologyResult(namedtuple("HomologyResult", "betti torsion", defaults=((),
         return not self.betti_trimmed() and not self.torsion_trimmed()
 
 
-def _assemble(f, levels, stalk, faces) -> CochainComplex:
-    """The cochain complex whose C^j sums the stalks at `stalk(cell)`
-    over the cells of `levels[j]`, in their order.
+def _assemble(ring, levels, dim, faces) -> CochainComplex:
+    """The cochain complex over `ring` whose C^j sums a summand of
+    dimension `dim(cell)` over the cells of `levels[j]`, in their order.
 
     `faces(tau)` lists (sigma, sign, m) for the faces sigma of tau one
     level down: the block of d at (tau, sigma) is sign * m, or sign
-    times the identity when m is None (sigma's stalk is then tau's).
+    times the identity when m is None (sigma's summand is then tau's).
     """
-    dims = f.stalk_dim
     degrees = []
     offsets = []  # per level: cell -> first coordinate
     for level in levels:
@@ -106,7 +105,7 @@ def _assemble(f, levels, stalk, faces) -> CochainComplex:
         total = 0
         for cell in level:
             off[cell] = total
-            total += dims[stalk(cell)]
+            total += dim(cell)
         degrees.append(total)
         offsets.append(off)
     diffs = []
@@ -114,18 +113,21 @@ def _assemble(f, levels, stalk, faces) -> CochainComplex:
         rows = [{} for _ in range(degrees[j + 1])]
         s_offsets = offsets[j]
         for tau, t_off in offsets[j + 1].items():
+            size = dim(tau)
             # the faces are distinct cells, so their column blocks are disjoint
             for sigma, sign, m in faces(tau):
                 s_off = s_offsets[sigma]
-                if m is None:
-                    for r in range(dims[stalk(tau)]):
-                        rows[t_off + r][s_off + r] = sign
-                else:
-                    for r, mrow in enumerate(m.sparse):
-                        row = rows[t_off + r]
+                if m is not None:
+                    for r, mrow in enumerate(m.sparse, t_off):
+                        row = rows[r]
                         for c, x in mrow.items():
                             row[s_off + c] = sign * x
-        diffs.append(Matrix.from_sparse(f.ring, degrees[j + 1], degrees[j], rows))
+                elif size == 1:  # as in every simplicial complex: no range loop
+                    rows[t_off][s_off] = sign
+                else:
+                    for r in range(size):
+                        rows[t_off + r][s_off + r] = sign
+        diffs.append(Matrix.from_sparse(ring, degrees[j + 1], degrees[j], rows))
     return CochainComplex(degrees, diffs)
 
 
@@ -147,7 +149,8 @@ def roos_complex(sp: SheavedSpace) -> CochainComplex:
             yield tau[:i] + tau[i + 1:], -1 if i % 2 else 1, None
         yield tau[:last], -1 if last % 2 else 1, f.restriction(tau[last - 1], tau[last])
 
-    return _assemble(f, order_complex(sp.poset).simplices, lambda chain: chain[-1], faces)
+    dims = f.stalk_dim
+    return _assemble(f.ring, order_complex(sp.poset).simplices, lambda c: dims[c[-1]], faces)
 
 
 def cellular_complex(sp: SheavedSpace, vertices: dict) -> CochainComplex:
@@ -173,7 +176,7 @@ def cellular_complex(sp: SheavedSpace, vertices: dict) -> CochainComplex:
             i = names.index(lacking)
             yield sigma, -1 if i % 2 else 1, f.cover_maps[(sigma, tau)]
 
-    return _assemble(f, levels, lambda x: x, faces)
+    return _assemble(f.ring, levels, f.stalk_dim.__getitem__, faces)
 
 
 def _betti(degrees, ranks) -> tuple[int, ...]:
@@ -227,16 +230,8 @@ def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:
     poset order) to (-1)^i, so d_j is the transpose of the boundary out
     of degree j+1 and both compute the same Betti numbers over a field.
     """
-    degrees = k.counts()
-    diffs = []
-    for j in range(len(degrees) - 1):
-        index = {chain: c for c, chain in enumerate(k.simplices[j])}
-        rows = [
-            {index[tau[:i] + tau[i + 1:]]: -1 if i % 2 else 1 for i in range(len(tau))}
-            for tau in k.simplices[j + 1]
-        ]
-        diffs.append(Matrix.from_sparse(ring, degrees[j + 1], degrees[j], rows))
-    return CochainComplex(degrees, diffs)
+    return _assemble(ring, k.simplices, lambda chain: 1, lambda tau: (
+        (tau[:i] + tau[i + 1:], -1 if i % 2 else 1, None) for i in range(len(tau))))
 
 
 def integral_homology(k: OrderComplex, reduced: bool = True) -> HomologyResult:

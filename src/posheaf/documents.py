@@ -3,7 +3,8 @@
 Scalars cross the boundary as strings ("3", "-1/2", residues mod p) so
 no float ever enters; matrices are row-major lists of rows.  An absent
 sheaf block means the constant rank-1 sheaf.  Field tags: "Q", "GF:<p>"
-with p prime, or "Z" (constant-coefficient commands only).
+with p prime in ASCII digits, or "Z" (constant-coefficient commands
+only).  Element names hold no whitespace and no "->".
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from .poset import Poset, PosetError, build_poset
 from .sheaf import Sheaf, SheavedSpace, SheafError, constant_sheaf
 
 MAP_KEY_SEP = "->"
-_NAME_RE = re.compile(r"^[^\s]+$")
+_NAME_RE = re.compile(r"[^\s]+")
 # an optional sign, digits, optionally "/digits": Fraction would also
 # take exponents ("1e999999"), decimals and whitespace
 _SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# int() would also take a sign, whitespace, "_" and non-ASCII digits
+_FIELD_RE = re.compile(r"GF:([0-9]+)")
 
 
 class DocumentError(Exception):
@@ -48,20 +51,19 @@ def _parse_field_tag(tag):
         return QQ
     if tag == "Z":
         return None  # integers: constant-coefficient commands only
-    if isinstance(tag, str) and tag.startswith("GF:"):
+    match = _FIELD_RE.fullmatch(tag) if isinstance(tag, str) else None
+    if match:
         try:
-            p = int(tag[3:])
-        except ValueError:
+            return GF(int(match[1]))
+        except ValueError:  # more digits than int() takes
             raise DocumentError(f"bad field tag {tag!r}")
-        try:
-            return GF(p)
         except LinalgError as e:
             raise DocumentError(str(e))
     raise DocumentError(f"bad field tag {tag!r} (want 'Q', 'GF:<p>' or 'Z')")
 
 
 def _check_name(name):
-    if not isinstance(name, str) or not _NAME_RE.match(name) or MAP_KEY_SEP in name:
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name) or MAP_KEY_SEP in name:
         raise DocumentError(
             f"bad element name {name!r}: no whitespace or '{MAP_KEY_SEP}' allowed"
         )

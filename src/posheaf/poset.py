@@ -13,14 +13,14 @@ edits them, takes one element out by the bridge rule, in place;
 the rows next to the removed elements and shrinking only the closures
 of the elements comparable to them.
 :func:`remove_element` is the two for one element; the working
-subspace of :mod:`posheaf.sheaf` and :func:`collapses_to_point` call
+subspace of :mod:`posheaf.sheaf` and :func:`beat_core` call
 :func:`_unlink` for many.
 
-Two acyclicity certificates need no linear algebra: the Moebius function
-(:meth:`Poset.mobius`) rejects, and a beat collapse to a point
-(:func:`collapses_to_point`) accepts.  :func:`simplicial_vertices`
-recognises the face poset of a simplicial complex.  :func:`order_complex`
-counts the chains before it lists them and refuses more than MAX_CHAINS.
+Every complex with constant coefficients is built on :func:`beat_core`.
+The Moebius function (:meth:`Poset.mobius`) rejects acyclicity without
+linear algebra.  :func:`simplicial_vertices` recognises the face poset
+of a simplicial complex.  :func:`order_complex` counts the chains
+before it lists them and refuses more than MAX_CHAINS.
 """
 
 from __future__ import annotations
@@ -323,18 +323,16 @@ def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict):
     return q, went, came
 
 
-def collapses_to_point(p: Poset) -> bool:
-    """True iff removing beat points (a unique lower or a unique upper
-    cover) one at a time leaves a single point, so p is contractible
-    (Stong 1966) and its order complex acyclic.
+def beat_core(p: Poset) -> Poset:
+    """What is left of p when beat points (a unique lower or a unique
+    upper cover) are removed until none is left; p itself if it has no
+    beat.  The core has p's homotopy type (Stong 1966) and is unique up
+    to isomorphism, whatever the order of removals.
 
-    Every maximal sequence of beat removals ends in the core, which is
-    unique up to isomorphism, so the order of removals does not matter.
     Each beat is taken out of copies of p's tables by :func:`_unlink`,
     and only its covers, whose cover counts change, are tested again.
-
-    The beat test is order-theoretic only: this certifies that an order
-    complex is contractible and removes nothing from a sheaved space,
+    The test is order-theoretic only: the core serves complexes with
+    constant coefficients and removes nothing from a sheaved space,
     whose removals `posheaf.simplify.RULES` alone decides.
     """
     upper, lower = dict(p._upper), dict(p._lower)
@@ -344,7 +342,8 @@ def collapses_to_point(p: Poset) -> bool:
         if x in lower and (len(lower[x]) == 1 or len(upper[x]) == 1):
             todo += lower[x] + upper[x]
             _unlink(upper, lower, p._above, x)
-    return len(lower) == 1
+    removed = {e for e in p.elements if e not in lower}
+    return _subposet_without(p, removed, upper, lower)[0] if removed else p
 
 
 class OrderComplex:

@@ -302,12 +302,6 @@ class _WorkingSubspace:
         self.lower = dict(sp.poset._lower)
         self._built = sp
 
-    def cover_map(self, u, v) -> Matrix:
-        """The map of the current cover (u, v)."""
-        f = self.root.sheaf
-        m = f.cover_maps.get((u, v))
-        return f.restriction(u, v) if m is None else m
-
     def remove(self, s) -> None:
         require_commutative(self.root.sheaf)
         _unlink(self.upper, self.lower, self.root.poset._above, s)

@@ -7,9 +7,8 @@ acyclic-downset rule removes any element whose strict downset has the
 integral homology of a point; acyclic-upset does the same for the
 strict upset when every cover map on or above the element is
 invertible.  Each predicate is valid for any sheaf.  Acyclicity is
-decided by the cheapest certificate that settles it: a nonzero Moebius
-value rejects, a beat collapse to a point accepts, and a Smith normal
-form decides the rest.
+decided in two steps: a nonzero Moebius value rejects, and the integral
+homology of the beat core of the down- or upset decides the rest.
 
 Every removal loop (:func:`core`, :func:`simplify_pipeline`,
 :meth:`SimplificationTrace.replay`, :func:`find_beats`) runs on a working
@@ -29,7 +28,7 @@ from typing import Optional
 
 from .cohomology import is_acyclic
 from .exact_linalg import rank
-from .poset import Poset, collapses_to_point, induced_subposet, order_complex
+from .poset import Poset, beat_core, induced_subposet, order_complex
 from .sheaf import SheavedSpace, _WorkingSubspace
 
 
@@ -49,15 +48,15 @@ ACYCLIC_UPSET = "acyclic-upset"
 
 def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
     """True iff the strict downset of s (upset if `dual`) has acyclic
-    order complex.  Verdicts past the Moebius test are kept by element
-    set on the poset, which shares them with every poset induced from it."""
+    order complex, decided on its beat core past the Moebius test.
+    Those verdicts are kept by element set on the poset, which shares
+    them with every poset induced from it."""
     keep = p.strictly_above(s) if dual else p.strictly_below(s)
     if p.mobius(dual)[s]:
         return False
     verdicts = p._acyclic
     if keep not in verdicts:
-        q = induced_subposet(p, keep)
-        verdicts[keep] = collapses_to_point(q) or is_acyclic(order_complex(q))
+        verdicts[keep] = is_acyclic(order_complex(beat_core(induced_subposet(p, keep))))
     return verdicts[keep]
 
 
@@ -69,7 +68,7 @@ def _invertible(maps) -> bool:
 def _is_upbeat(w: _WorkingSubspace, e) -> bool:
     """A unique upper cover, reached by an invertible map."""
     ups = w.upper[e]
-    return len(ups) == 1 and _invertible([w.cover_map(e, ups[0])])
+    return len(ups) == 1 and _invertible([w.root.sheaf.restriction(e, ups[0])])
 
 
 def removable_by_acyclic_downset(sp: SheavedSpace, s) -> bool:

@@ -23,7 +23,7 @@ from posheaf.fixtures import (
     face_poset,
     four_point_circle,
 )
-from posheaf.poset import build_poset, order_complex
+from posheaf.poset import beat_core, build_poset, order_complex
 from posheaf.sheaf import Sheaf, SheavedSpace, constant_sheaf, restrict
 from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep
 from test_cohomology import RP2
@@ -252,8 +252,9 @@ class TestCohomology:
 
 class TestInputTooLarge:
     """An order complex over poset.MAX_CHAINS chains exits 5, untraced.
-    `cohomology`, `simplify` and `core` build one only for the reduced
-    space; `homology` builds it for the input."""
+    Every command builds one only for a beat core: `cohomology`,
+    `simplify` and `core` for the reduced space, `homology` for the
+    order-theoretic core of the input."""
 
     @staticmethod
     def assert_refused(capsys):
@@ -263,10 +264,15 @@ class TestInputTooLarge:
 
     @pytest.mark.parametrize("command, field", [("homology", "Z")])
     def test_long_chain(self, tmp_path, capsys, command, field):
-        # 1,100 elements: listing chains recursively overflowed the stack
+        # 2^1100 - 1 chains, but the beat core is one point; before
+        # homology reduced first, this exited 5
         path = write_doc(tmp_path, chain_doc(1100, field))
-        assert main([command, path]) == 5
-        self.assert_refused(capsys)
+        t0 = time.monotonic()
+        assert main([command, path]) == 0
+        assert time.monotonic() - t0 < 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["betti"] == [1] and report["reduced_betti"] == []
+        assert report["sizes"] == {"elements": 1100}
 
     @pytest.mark.parametrize("n, field, seconds",
                              [(200, "GF:7", 5), (16, "Q", 3), (1100, "GF:7", 5)],
@@ -341,6 +347,35 @@ class TestHomology:
         assert main(["homology", write_doc(tmp_path, two_chain_doc())]) == 0
         assert "ignored" in capsys.readouterr().err
 
+    def test_report_matches_the_full_order_complex(self, tmp_path, capsys, monkeypatch):
+        """The report is built on the beat core; the reference lists every
+        chain of the input, on seeded random posets that have beats and on
+        the projective plane with a beat above one face (torsion Z/2)."""
+        monkeypatch.setattr(cli, "_ms", lambda t0: 0)
+        rng = random.Random(241)
+        rp2 = face_poset(RP2)
+        posets = [build_poset(rp2.elements + ("apex",), rp2.covers | {("1|2|6", "apex")})]
+        posets += [random_poset(rng, rng.randint(2, 11)) for _ in range(120)]
+        checked = 0
+        for p in posets:
+            if beat_core(p) is p:
+                continue
+            unred = integral_homology(order_complex(p), reduced=False)
+            red = integral_homology(order_complex(p))
+            report = {
+                "generator": {"tool": "posheaf", "version": __version__},
+                "betti": list(unred.betti_trimmed()),
+                "torsion": [list(t) for t in unred.torsion_trimmed()],
+                "reduced_betti": list(red.betti_trimmed()),
+                "reduced_torsion": [list(t) for t in red.torsion_trimmed()],
+                "sizes": {"elements": len(p)},
+                "timing_ms": 0,
+            }
+            assert main(["homology", write_doc(tmp_path, poset_doc(p, "Z"))]) == 0
+            assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+            checked += 1
+        assert checked >= 100
+
     @pytest.mark.parametrize("poset, groups", [
         (four_point_circle, ([1, 1], [], [0, 1], [])),
         (circle_with_apex, ([1], [], [], [])),
@@ -369,7 +404,7 @@ class TestHomology:
             "timing_ms": 0,
         }
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
-        assert len(calls) == max(len(order_complex(p).simplices) - 1, 0)
+        assert len(calls) == max(len(order_complex(beat_core(p)).simplices) - 1, 0)
 
 
 class TestSimplifyAndCore:
@@ -633,6 +668,24 @@ def test_undecodable_documents_exit_2(tmp_path, capsys, command, raw):
     path = tmp_path / "space.json"
     path.write_bytes(raw)
     assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid document") and "Traceback" not in captured.err
+
+
+INVALID = {
+    "name-ending-in-newline": {"field": "Q", "elements": ["a\n"], "covers": []},
+    **{f"field-{tag}": {"field": tag, "elements": ["a"], "covers": []}
+       for tag in ("GF:1_1", "GF: 7", "GF:+7", "GF:\u0667")},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "homology", "simplify", "core"])
+@pytest.mark.parametrize("doc", INVALID.values(), ids=INVALID.keys())
+def test_invalid_names_and_field_tags_exit_2(tmp_path, capsys, command, doc):
+    # `$` also matches before a trailing newline, and int() takes a sign,
+    # spaces, "_" and non-ASCII digits ("GF:1_1" was read as GF(11))
+    assert main([command, write_doc(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid document") and "Traceback" not in captured.err

@@ -23,8 +23,8 @@ from posheaf.poset import (
     UnknownElementError,
     _unlink,
     build_poset,
+    beat_core,
     chain_count,
-    collapses_to_point,
     downset,
     induced_subposet,
     leq,
@@ -169,7 +169,7 @@ def cone_over_house():
 
 
 def collapses_by_rebuilding(p) -> bool:
-    """Reference for `collapses_to_point`: remove any beat through a
+    """Reference for a one-point `beat_core`: remove any beat through a
     full rebuild of the poset until none is left."""
     while len(p) > 1:
         beats = [e for e in p.elements if is_downbeat(p, e) or is_upbeat(p, e)]
@@ -195,27 +195,42 @@ class TestCertificates:
                 assert p.mobius(dual) is mu  # computed once
 
     def test_collapse_examples(self):
-        assert collapses_to_point(chain("a"))
-        assert collapses_to_point(chain("a", "b", "c"))
-        assert collapses_to_point(circle_with_apex())
-        assert collapses_to_point(p5_gadget())
-        assert not collapses_to_point(build_poset([], []))
-        assert not collapses_to_point(build_poset(["a", "b"], []))
-        assert not collapses_to_point(four_point_circle())
+        def core_is_point(p):
+            return len(beat_core(p)) == 1
+
+        assert core_is_point(chain("a"))
+        assert core_is_point(chain("a", "b", "c"))
+        assert core_is_point(circle_with_apex())
+        assert core_is_point(p5_gadget())
+        assert not core_is_point(build_poset([], []))
+        assert not core_is_point(build_poset(["a", "b"], []))
+        assert not core_is_point(four_point_circle())
         # contractible, but without a single beat
-        assert not collapses_to_point(bing_house_poset())
+        assert not core_is_point(bing_house_poset())
         # a cone: the top dominates the house, which then collapses
-        assert collapses_to_point(cone_over_house())
-        assert collapses_to_point(chain(*(f"c{i:04d}" for i in range(1100))))
+        assert core_is_point(cone_over_house())
+        assert core_is_point(chain(*(f"c{i:04d}" for i in range(1100))))
+
+    @pytest.mark.parametrize("p", [build_poset([], []), build_poset(["a", "b"], []),
+                                   four_point_circle(), bing_house_poset()],
+                             ids=["empty", "antichain", "circle", "house"])
+    def test_beat_free_poset_is_its_own_core(self, p):
+        assert beat_core(p) is p
 
     def test_collapse_matches_rebuilding_reference(self):
+        # the core is the induced subposet on its elements, has no beat
+        # left, and is a point exactly when the rebuilding reference
+        # collapses the poset
         rng = random.Random(137)
         collapsed = 0
         for _ in range(150):
             p = random_poset(rng, rng.randint(1, 12))
             for q in [p] + [downset(p, s) for s in p.elements]:
+                c = beat_core(q)
+                assert c == induced_subposet(q, c.elements)
+                assert not any(is_downbeat(c, e) or is_upbeat(c, e) for e in c.elements)
                 expected = collapses_by_rebuilding(q)
-                assert collapses_to_point(q) == expected
+                assert (len(c) == 1) == expected
                 collapsed += expected
         assert collapsed > 100
 
@@ -251,7 +266,7 @@ class TestCertificates:
         calls = []
         monkeypatch.setattr(poset_module, "_unlink",
                             lambda *a, fn=_unlink: calls.append(a[-1]) or fn(*a))
-        assert collapses_to_point(p)
+        assert len(beat_core(p)) == 1
         assert len(calls) == len(set(calls)) == len(p) - 1
 
     def test_subposets_share_the_verdict_memo(self):
