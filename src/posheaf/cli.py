@@ -4,8 +4,9 @@ Commands: validate, cohomology, homology, simplify, core.  Every
 complex is built on a beat core: sheaf cohomology on the core of the
 sheaved space, with the cellular complex if the core is a simplicial
 face poset and the Roos complex otherwise; integral homology on the
-order-theoretic core of the poset (`poset.beat_core`).  Every `simplify`
-strategy takes any sheaf; Z documents (the constant sheaf, certified by
+order-theoretic core of the poset (`poset.beat_core`), the only part
+of the document that `homology` reads.  Every `simplify` strategy
+takes any sheaf; Z documents (the constant sheaf, certified by
 integral homology) take `core` and every strategy.  Reports go to
 stdout as JSON, diagnostics to stderr.  Exit codes: 0 success, 1 usage
 (also an `--out` path that cannot be written), 2 parse/structure,
@@ -31,6 +32,7 @@ from .cohomology import (
 )
 from .documents import (
     DocumentError,
+    document_poset,
     document_space,
     dump_json,
     load_space,
@@ -154,9 +156,9 @@ def cmd_homology(args) -> int:
     doc = load_space(args.path)
     if doc.has_sheaf_block():
         print("warning: sheaf block ignored for integral homology", file=sys.stderr)
-    sp = document_space(doc)
+    poset = document_poset(doc)
     t0 = time.monotonic()
-    unred = integral_homology(order_complex(beat_core(sp.poset)), reduced=False)
+    unred = integral_homology(order_complex(beat_core(poset)), reduced=False)
     red = reduce_homology(unred)
     report = {
         "generator": _generator(),
@@ -164,7 +166,7 @@ def cmd_homology(args) -> int:
         "torsion": _torsion_report(unred),
         "reduced_betti": _betti_report(red),
         "reduced_torsion": _torsion_report(red),
-        "sizes": {"elements": len(sp.poset)},
+        "sizes": {"elements": len(poset)},
         "timing_ms": _ms(t0),
     }
     print(dump_json(report), end="")

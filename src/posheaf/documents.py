@@ -175,22 +175,38 @@ def document_poset(doc: SpaceDocument) -> Poset:
 def document_space(doc: SpaceDocument) -> SheavedSpace:
     """Build the sheaved space (shape validation only; commutativity is
     the caller's concern).  "Z" documents get a constant rank-1 sheaf
-    over Q so the order-theoretic machinery applies."""
+    over Q so the order-theoretic machinery applies.
+
+    Each distinct map literal of a given shape is parsed once: covers
+    that repeat it share one Matrix, and with it its composites and its
+    rank.  A literal is kept for reuse only once it has parsed, so the
+    first bad map in document order is the one reported.
+    """
     ring = _parse_field_tag(doc.field_tag) or QQ
     poset = document_poset(doc)
     if not doc.has_sheaf_block():
         return SheavedSpace(poset, constant_sheaf(poset, ring, 1))
     dims = doc.stalks
     maps = {}
+    parsed = {}  # (rows, cols, rows of scalar strings) -> Matrix
     for (u, v), rows in doc.maps.items():
-        entries = [[_parse_scalar(x, ring) for x in row] for row in rows]
         try:
-            maps[(u, v)] = Matrix(ring, dims[v], dims[u], entries)
-        except LinalgError:
-            raise DocumentError(
-                f"map {u}{MAP_KEY_SEP}{v} does not match stalk dimensions "
-                f"{dims[v]}x{dims[u]}"
-            )
+            key = (dims[v], dims[u], tuple(map(tuple, rows)))
+            m = parsed.get(key)
+        except TypeError:  # an unhashable entry, refused by the parse below
+            key = m = None
+        if m is None:
+            entries = [[_parse_scalar(x, ring) for x in row] for row in rows]
+            try:
+                m = Matrix(ring, dims[v], dims[u], entries)
+            except LinalgError:
+                raise DocumentError(
+                    f"map {u}{MAP_KEY_SEP}{v} does not match stalk dimensions "
+                    f"{dims[v]}x{dims[u]}"
+                )
+            if key is not None:
+                parsed[key] = m
+        maps[(u, v)] = m
     try:
         return SheavedSpace(poset, Sheaf(poset, ring, dims, maps))
     except SheafError as e:
@@ -203,15 +219,21 @@ def space_to_data(sp: SheavedSpace, field_tag: str, generator: Optional[dict] = 
     Raises DocumentError for an entry with more digits than Python turns
     into a string (`sys.get_int_max_str_digits`), which composing long
     maps can produce; such an entry could not be read back either.
+    Covers that share a Matrix share one list of rows in the result.
     """
     f = sp.sheaf
     maps = {}
+    written = {}  # id of a Matrix -> its rows as strings
     for (u, v) in sorted(sp.poset.covers):
         key = f"{u}{MAP_KEY_SEP}{v}"
-        try:
-            maps[key] = [[str(x) for x in row] for row in f.cover_maps[(u, v)].entries]
-        except ValueError:
-            raise DocumentError(f"map {key} has an entry too long to write") from None
+        m = f.cover_maps[(u, v)]
+        rows = written.get(id(m))
+        if rows is None:
+            try:
+                rows = written[id(m)] = [[str(x) for x in row] for row in m.entries]
+            except ValueError:
+                raise DocumentError(f"map {key} has an entry too long to write") from None
+        maps[key] = rows
     return {
         "generator": generator or {"tool": "posheaf", "version": __version__},
         "field": field_tag,

@@ -5,7 +5,10 @@ point anywhere.  An element of Q is a Python int when it is integral
 and a reduced Fraction otherwise, so integral entries never pay for
 Fraction arithmetic; every division goes through one exact helper.
 Matrices are immutable and store only their nonzero entries, row by
-row; the dense `entries` view is derived on demand.
+row; the dense `entries` view is derived on demand.  A matrix knows from
+its construction whether it is an identity, and `compose` returns the
+other operand for an identity factor, so composites of identity maps
+(the constant sheaf's) cost no product and no new matrix.
 One sparse elimination kernel (shortest row first, then the sparsest
 column, preferring +-1 pivots) serves rank, kernel bases and the unit
 phase of the Smith normal form.
@@ -171,10 +174,11 @@ class Matrix:
     `sparse` holds one dict per row, mapping column index to a nonzero
     entry; callers must not mutate it.  0xn and nx0 shapes are legal.
     A cover map for an edge (u, v) of a poset is stored here as a
-    dim(v) x dim(u) matrix acting on column vectors.
+    dim(v) x dim(u) matrix acting on column vectors.  `_eye` records
+    whether the matrix is an identity, `_rank` its rank once computed.
     """
 
-    __slots__ = ("ring", "rows", "cols", "sparse", "_rank")
+    __slots__ = ("ring", "rows", "cols", "sparse", "_eye", "_rank")
 
     def __init__(self, ring, rows: int, cols: int, entries):
         """A matrix from dense rows (any iterables of scalars)."""
@@ -209,6 +213,9 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.sparse = tuple(sparse)
+        # stops at the first row that is not the identity's
+        self._eye = rows == cols and all(len(r) == 1 and r.get(i) == 1
+                                         for i, r in enumerate(self.sparse))
         self._rank = None
 
     @classmethod
@@ -243,7 +250,7 @@ class Matrix:
         return self.sparse[i].get(j, self.ring.coerce(0))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Matrix)
             and self.ring == other.ring
             and self.rows == other.rows
@@ -274,11 +281,20 @@ class Matrix:
 
 
 def compose(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a . b (apply b first when acting on columns)."""
+    """Matrix product a . b (apply b first when acting on columns).
+
+    When one operand is an identity the other one is returned itself,
+    not a copy; matrices are immutable, so that is safe, but callers
+    must not count on a fresh object.
+    """
     if a.ring != b.ring:
         raise KindMismatchError(f"{a.ring} vs {b.ring}")
     if a.cols != b.rows:
         raise ShapeError(f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    if a._eye:
+        return b
+    if b._eye:
+        return a
     out = []
     for arow in a.sparse:
         acc = {}

@@ -4,7 +4,9 @@ A sheaf assigns a stalk dimension to every element and a matrix to every
 Hasse cover edge, maps pointing upward: for the cover (u, v), a
 dim(v) x dim(u) matrix acting on column vectors.  All composite maps
 between comparable elements must agree along every cover path; that is
-checked once per sheaf, on local squares.  Composites are made on first use.
+checked once per sheaf, on local squares, except that a diagram of
+identity maps (the constant sheaf) commutes without a check.  Composites
+are made on first use.
 
 Subspaces of a verified space are made by a private working subspace
 (:class:`_WorkingSubspace`): elements leave it one at a time, each by
@@ -180,12 +182,15 @@ def check_commutativity(f: Sheaf) -> tuple[bool, Optional[CommutativityError]]:
     Returns (True, None) or (False, error) with the first violating
     pair.  Success is recorded on the sheaf, so the sweep runs once per
     sheaf; a failure is not recorded and is found again on every call.
+    A diagram whose cover maps are all identities needs no sweep: every
+    composite of identities is the identity.
     """
     if f._verified:
         return True, None
-    err = _first_violation(f)
-    if err is not None:
-        return False, err
+    if not all(m._eye for m in f.cover_maps.values()):
+        err = _first_violation(f)
+        if err is not None:
+            return False, err
     f._verified = True
     return True, None
 
@@ -269,10 +274,11 @@ def _supported_sheaf(p: Poset, support: set, ring, w: int) -> Sheaf:
     if w < 0:
         raise SheafError("negative rank")
     dims = {e: (w if e in support else 0) for e in p.elements}
+    eye = Matrix.identity(ring, w)
     maps = {}
     for (u, v) in p.covers:
         if u in support and v in support:
-            maps[(u, v)] = Matrix.identity(ring, w)
+            maps[(u, v)] = eye
         else:
             maps[(u, v)] = Matrix.zeros(ring, dims[v], dims[u])
     return Sheaf(p, ring, dims, maps)

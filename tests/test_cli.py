@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -347,6 +349,15 @@ class TestHomology:
         assert main(["homology", write_doc(tmp_path, two_chain_doc())]) == 0
         assert "ignored" in capsys.readouterr().err
 
+    def test_ignored_sheaf_block_is_not_built(self, tmp_path, capsys):
+        # the map does not fit the stalks, but only the poset is read
+        doc = {"field": "Z", "elements": ["a", "b"], "covers": [["a", "b"]],
+               "sheaf": {"stalks": {"a": 1, "b": 2}, "maps": {"a->b": [["1"]]}}}
+        assert main(["homology", write_doc(tmp_path, doc)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: sheaf block ignored for integral homology\n"
+        assert json.loads(captured.out)["betti"] == [1]
+
     def test_report_matches_the_full_order_complex(self, tmp_path, capsys, monkeypatch):
         """The report is built on the beat core; the reference lists every
         chain of the input, on seeded random posets that have beats and on
@@ -689,3 +700,130 @@ def test_invalid_names_and_field_tags_exit_2(tmp_path, capsys, command, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid document") and "Traceback" not in captured.err
+
+
+def written_out_doc(p, field):
+    """The constant rank-1 sheaf on p, with every stalk and map written out."""
+    return dict(poset_doc(p, field), sheaf={
+        "stalks": dict.fromkeys(p.elements, 1),
+        "maps": {f"{u}->{v}": [["1"]] for u, v in sorted(p.covers)},
+    })
+
+
+BYTE_STABLE_DOCS = {
+    "house-Q": lambda: written_out_doc(bing_house_poset(), "Q"),
+    "apexes-GF7": lambda: written_out_doc(bing_house_with_apexes(), "GF:7"),
+}
+# sha256 of stdout (timing_ms zeroed) and of the --out file, taken with
+# commit 4c7c5b1; a change to either is a change of the output format
+BYTE_STABLE = {
+    ("house-Q", "validate"): (
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        None,
+    ),
+    ("house-Q", "cohomology"): (
+        "a17d875b2320c5b19a8da1e4119de0762676105a01a909ffcf854012ff2f2b85",
+        None,
+    ),
+    ("house-Q", "homology"): (
+        "a1549aea9a8107816d980680aca3847413db94da01b490d22def133b7bcb62ea",
+        None,
+    ),
+    ("house-Q", "core"): (
+        "e9cce03ee1ab69196837e2fd5858aa7a0c76ffd5d2138c19af35bf086a57b885",
+        "72e43e2225dceebe0ad086d081ebe3525086a4065b6423945ba40515aebc4f9b",
+    ),
+    ("house-Q", "simplify"): (
+        "ec6042f46a15c99a9276391ee0f3157ac390a757827bbd269c6e4089e0b748a7",
+        "8921f91b8a5e820ec437e6f31b96c135688dcebaa1b04b0997627c1da2d74843",
+    ),
+    ("apexes-GF7", "validate"): (
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        None,
+    ),
+    ("apexes-GF7", "cohomology"): (
+        "3a2014c96063a970e91456d1c329e58c348d3839b67e3a16c50e712ab81b32ce",
+        None,
+    ),
+    ("apexes-GF7", "homology"): (
+        "28decce5b9cb30b8e838e8168d900c3b3259902f7a626a69056971e7d616d3a0",
+        None,
+    ),
+    ("apexes-GF7", "core"): (
+        "0c4935eafc87ed0180de8e6f1438ef9ed97fbaac3d0e166a9e237353d90b3a54",
+        "d84f2098642082b3ef9852071170456415edc1908de540d5f523dc97574907a3",
+    ),
+    ("apexes-GF7", "simplify"): (
+        "4e15f67774fb4138f606cc2da47c19135019f9f83811969e55c7c69edf16a74c",
+        "68a4b560dee24614c5c11f43fb6e4656edb9878b5f1ccd8f41b52c653f115ba8",
+    ),
+}
+
+
+def pinned_digests(tmp_path, capsys, name, command):
+    """(stdout digest, --out digest or None) of one CLI run on a document."""
+    argv = [command, write_doc(tmp_path, BYTE_STABLE_DOCS[name]())]
+    if command == "simplify":
+        argv += ["--strategy", "acyclic-down"]
+    out_path = tmp_path / "out.json"
+    if command in ("core", "simplify"):
+        argv += ["--out", str(out_path)]
+    assert main(argv) == 0
+    stdout = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', capsys.readouterr().out)
+    out = hashlib.sha256(out_path.read_bytes()).hexdigest() if out_path.exists() else None
+    return hashlib.sha256(stdout.encode()).hexdigest(), out
+
+
+@pytest.mark.parametrize("name, command", BYTE_STABLE, ids=[f"{n}-{c}" for n, c in BYTE_STABLE])
+def test_outputs_are_byte_stable(tmp_path, capsys, name, command):
+    assert pinned_digests(tmp_path, capsys, name, command) == BYTE_STABLE[(name, command)]
+
+
+def repeated_literal_doc(literal, top_stalk=1):
+    """a < b < c, both maps the same literal; c's stalk is `top_stalk`."""
+    return {"field": "Q", "elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]],
+            "sheaf": {"stalks": {"a": 1, "b": 1, "c": top_stalk},
+                      "maps": {"a->b": literal, "b->c": literal}}}
+
+
+REPEATED_LITERALS = {
+    "unhashable": (repeated_literal_doc([[["1"]]]),
+                   "invalid document: scalar entries must be strings, got ['1']\n"),
+    "other-shape": (repeated_literal_doc([["1"]], top_stalk=2),
+                    "invalid document: map b->c does not match stalk dimensions 2x1\n"),
+    "division-by-zero": (repeated_literal_doc([["1/0"]]),
+                         "invalid document: bad scalar '1/0'\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "simplify", "core"])
+@pytest.mark.parametrize("doc, err", REPEATED_LITERALS.values(), ids=REPEATED_LITERALS.keys())
+def test_repeated_map_literals_keep_their_errors(tmp_path, capsys, command, doc, err):
+    # a literal is parsed once per shape, and kept only once it parsed
+    assert main([command, write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_repeated_map_literals_share_one_matrix():
+    doc = json.loads(json.dumps(written_out_doc(bing_house_with_apexes(), "GF:7")))
+    doc["sheaf"]["stalks"]["apexU"] = 2
+    for t in bing_house_poset().maximal_elements():
+        doc["sheaf"]["maps"][f"{t}->apexU"] = [["1"], ["0"]]
+    maps = document_space(parse_space(doc)).sheaf.cover_maps
+    to_apex = {id(m) for (_, v), m in maps.items() if v == "apexU"}
+    others = {id(m) for (_, v), m in maps.items() if v != "apexU"}
+    assert len(to_apex) == len(others) == 1 and to_apex != others
+    # shared maps are written once and read back the same
+    data = space_to_data(document_space(parse_space(doc)), "GF:7")
+    assert document_space(parse_space(data)).sheaf.cover_maps == maps
+
+
+def test_one_other_map_in_an_identity_diagram_is_refused(tmp_path, capsys):
+    # a vertex -> edge map of the house doubled: the triangles over that
+    # edge see two different composites from the vertex
+    doc = written_out_doc(bing_house_poset(), "Q")
+    u, v = next((u, v) for u, v in sorted(bing_house_poset().covers))
+    doc["sheaf"]["maps"][f"{u}->{v}"] = [["2"]]
+    assert main(["validate", write_doc(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"non-commuting diagram between {u!r}")

@@ -116,6 +116,15 @@ class TestCompose:
         assert compose(Matrix.identity(QQ, 2), m) == m
         assert compose(m, Matrix.identity(QQ, 2)) == m
 
+    def test_identity_returns_the_other_operand(self):
+        m = M(QQ, [[1, 2], [3, 4]])
+        assert compose(Matrix.identity(QQ, 2), m) is m
+        assert compose(m, Matrix.identity(QQ, 2)) is m
+        with pytest.raises(ShapeError):  # the checks come first
+            compose(Matrix.identity(QQ, 3), m)
+        with pytest.raises(KindMismatchError):
+            compose(Matrix.identity(GF(7), 2), m)
+
     def test_one_by_one(self):
         assert compose(M(QQ, [[2]]), M(QQ, [[3]])) == M(QQ, [[6]])
 
@@ -135,6 +144,61 @@ class TestCompose:
         out = compose(Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 0, 3))
         assert (out.rows, out.cols) == (2, 3)
         assert out.is_zero()
+
+
+def dense_product(a, b):
+    """a . b by the textbook triple loop over the dense entries."""
+    ring = a.ring
+    return Matrix(ring, a.rows, b.cols,
+                  [[sum((a[i, k] * b[k, j] for k in range(a.cols)), 0) for j in range(b.cols)]
+                   for i in range(a.rows)])
+
+
+RINGS = {"Q": QQ, "GF(7)": GF(7), "Z": ZZ}
+
+
+@st.composite
+def matrices(draw, ring, rows, cols):
+    """A small matrix, an identity about one time in three when square."""
+    if rows == cols and draw(st.integers(0, 2)) == 0:
+        return Matrix.identity(ring, rows)
+    entries = st.sampled_from([0, 0, 1, -1, 2, 3] + ([Fraction(1, 2)] if ring == QQ else []))
+    return Matrix(ring, rows, cols, draw(st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+
+@st.composite
+def composable_pairs(draw):
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(matrices(ring, r, k)), draw(matrices(ring, k, c))
+
+
+@given(composable_pairs())
+@settings(max_examples=200, deadline=None)
+def test_compose_matches_dense_product(pair):
+    # identity operands, 0xn and nx0 shapes included; Z goes through the
+    # same product as the fields
+    a, b = pair
+    assert compose(a, b) == dense_product(a, b)
+
+
+@given(st.sampled_from(sorted(RINGS)).flatmap(
+    lambda name: st.integers(0, 4).flatmap(
+        lambda r: st.integers(0, 4).flatmap(
+            lambda c: matrices(RINGS[name], r, c)))))
+@settings(max_examples=200, deadline=None)
+def test_eye_flag_marks_exactly_the_identities(m):
+    assert m._eye == (m == Matrix.identity(m.ring, m.rows))
+
+
+def test_eye_flag_on_hand_picked_matrices():
+    assert M(GF(7), [[8, 0], [0, 1]])._eye  # 8 is 1 mod 7
+    assert M(QQ, [[Fraction(2, 2)]])._eye
+    assert not M(QQ, [[1, 0], [0, 1], [0, 0]])._eye
+    assert not M(QQ, [[1, 1], [0, 1]])._eye
+    assert not M(QQ, [[0, 1], [1, 0]])._eye
+    assert Matrix.identity(QQ, 0)._eye and not Matrix.zeros(QQ, 0, 2)._eye
 
 
 small_int_matrices = st.integers(1, 5).flatmap(

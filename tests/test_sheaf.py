@@ -201,6 +201,34 @@ class TestCommutativity:
                 verdicts.append(assert_verdict_matches_paths(f))
         assert 0 < verdicts.count(False) < len(verdicts)
 
+    def test_identity_diagrams_need_no_sweep(self, compose_calls):
+        # constant sheaves of rank 1-3 are certified without composing
+        # anything, and the full sweep agrees with the certificate
+        rng = random.Random(97)
+        for ring in (QQ, GF(7)):
+            for _ in range(60):
+                f = constant_sheaf(random_poset(rng, rng.randint(1, 10), 0.5), ring,
+                                   rng.randint(1, 3))
+                assert check_commutativity(f) == (True, None) and f._verified
+                assert compose_calls == []
+                assert sheaf_module._first_violation(f) is None
+                compose_calls.clear()
+
+    def test_identity_diagrams_with_one_other_map_are_swept(self):
+        # one entry of one identity raised by 1: the certificate no
+        # longer applies, and the verdict is the sweep's
+        rng = random.Random(101)
+        refused = 0
+        for ring in (QQ, GF(7)):
+            for _ in range(60):
+                f = perturbed(rng, constant_sheaf(random_poset(rng, rng.randint(4, 10), 0.5),
+                                                  ring, rng.randint(1, 3)))
+                ok, err = check_commutativity(f)
+                assert ok == (sheaf_module._first_violation(f) is None) == f._verified
+                assert (err is None) == ok
+                refused += not ok
+        assert refused > 0
+
     def test_random_generated_commute(self):
         rng = random.Random(23)
         for _ in range(30):
