@@ -3,11 +3,12 @@
 Commands: validate, cohomology, homology, simplify, core.  Every
 complex is built on a beat core: sheaf cohomology on the core of the
 sheaved space, with the cellular complex if the core is a simplicial
-face poset and the Roos complex otherwise; integral homology on the
-order-theoretic core of the poset (`poset.beat_core`), the only part
-of the document that `homology` reads.  Every `simplify` strategy
-takes any sheaf; Z documents (the constant sheaf, certified by
-integral homology) take `core` and every strategy.  Reports go to
+face poset and the Roos complex otherwise; integral homology on
+Stong's core of the poset (`simplify.poset_core`), the only part of
+the document that `homology` reads.  Every `simplify` strategy takes
+any sheaf.  A Z document is its poset with the constant sheaf
+(certified by integral homology), whose block a command ignores with
+a warning; `cohomology` refuses it.  Reports go to
 stdout as JSON, diagnostics to stderr.  Exit codes: 0 success, 1 usage
 (also an `--out` path that cannot be written), 2 parse/structure,
 3 commutativity (naming a pair u < v whose composites along two cover
@@ -38,12 +39,14 @@ from .documents import (
     load_space,
     space_to_data,
 )
-from .poset import ChainCountError, beat_core, order_complex
+from .poset import ChainCountError, order_complex
 from .sheaf import check_commutativity
 from .simplify import (
     STRATEGIES,
     STRATEGY_BEATS,
     ReplayError,
+    core,
+    poset_core,
     simplify_pipeline,
 )
 
@@ -102,8 +105,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_commutative_space(path):
-    doc = load_space(path)
+def _warn_if_block_ignored(doc) -> None:
+    if doc.has_sheaf_block():
+        print("warning: sheaf block ignored for integral homology", file=sys.stderr)
+
+
+def _commutative_space(doc):
+    """The document's space, if its diagram commutes (else exit 3)."""
+    if doc.field_tag == "Z":
+        _warn_if_block_ignored(doc)
     sp = document_space(doc)
     ok, err = check_commutativity(sp.sheaf)
     if not ok:
@@ -112,7 +122,7 @@ def _load_commutative_space(path):
             file=sys.stderr,
         )
         raise SystemExit(EXIT_COMMUTATIVITY)
-    return doc, sp
+    return sp
 
 
 def _betti_report(h: HomologyResult) -> list[int]:
@@ -124,19 +134,20 @@ def _torsion_report(h: HomologyResult) -> list[list[int]]:
 
 
 def cmd_validate(args) -> int:
-    _load_commutative_space(args.path)
+    _commutative_space(load_space(args.path))
     print("ok")
     return EXIT_OK
 
 
 def cmd_cohomology(args) -> int:
-    doc, sp = _load_commutative_space(args.path)
+    doc = load_space(args.path)
     if doc.field_tag == "Z":
         print(
             "field 'Z' has no sheaf cohomology here; use the homology command",
             file=sys.stderr,
         )
         return EXIT_USAGE
+    sp = _commutative_space(doc)
     t0 = time.monotonic()
     h = sheaf_cohomology(sp)
     betti = _betti_report(h)
@@ -154,11 +165,10 @@ def cmd_cohomology(args) -> int:
 
 def cmd_homology(args) -> int:
     doc = load_space(args.path)
-    if doc.has_sheaf_block():
-        print("warning: sheaf block ignored for integral homology", file=sys.stderr)
+    _warn_if_block_ignored(doc)
     poset = document_poset(doc)
     t0 = time.monotonic()
-    unred = integral_homology(order_complex(beat_core(poset)), reduced=False)
+    unred = integral_homology(order_complex(poset_core(poset)), reduced=False)
     red = reduce_homology(unred)
     report = {
         "generator": _generator(),
@@ -175,12 +185,13 @@ def cmd_homology(args) -> int:
 
 def _cohomology_for_certification(doc, sp) -> HomologyResult:
     if doc.field_tag == "Z":
-        return integral_homology(order_complex(beat_core(sp.poset)), reduced=True)
+        return integral_homology(order_complex(core(sp)[0].poset), reduced=True)
     return sheaf_cohomology(sp)
 
 
 def cmd_simplify(args) -> int:
-    doc, sp = _load_commutative_space(args.path)
+    doc = load_space(args.path)
+    sp = _commutative_space(doc)
     rng = random.Random(args.seed) if args.seed is not None else None
     t0 = time.monotonic()
     try:

@@ -6,8 +6,8 @@ On the face poset of a simplicial complex (recognised by
 :func:`~posheaf.poset.simplicial_vertices`) it is the cellular complex:
 each face contributes its stalk once.  On any other poset it is the Roos
 complex: each chain contributes the stalk at its top element.
-Simplicial cochain complexes of order complexes (built on
-:func:`~posheaf.poset.beat_core`) give constant coefficients.  All
+Simplicial cochain complexes of order complexes (built on Stong's
+core, :func:`~posheaf.simplify.poset_core`) give constant coefficients.  All
 three come from one routine, :func:`_assemble`.  Cohomology over a field
 comes from exact ranks, integral homology from Smith normal forms.
 

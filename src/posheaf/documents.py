@@ -3,8 +3,9 @@
 Scalars cross the boundary as strings ("3", "-1/2", residues mod p) so
 no float ever enters; matrices are row-major lists of rows.  An absent
 sheaf block means the constant rank-1 sheaf.  Field tags: "Q", "GF:<p>"
-with p prime in ASCII digits, or "Z" (constant-coefficient commands
-only).  Element names hold no whitespace and no "->".
+with p prime in ASCII digits, or "Z": constant integral coefficients,
+so a "Z" document is its poset and a sheaf block in it is checked for
+structure only.  Element names hold no whitespace and no "->".
 """
 
 from __future__ import annotations
@@ -174,18 +175,19 @@ def document_poset(doc: SpaceDocument) -> Poset:
 
 def document_space(doc: SpaceDocument) -> SheavedSpace:
     """Build the sheaved space (shape validation only; commutativity is
-    the caller's concern).  "Z" documents get a constant rank-1 sheaf
-    over Q so the order-theoretic machinery applies.
+    the caller's concern).  A "Z" document is its poset: it gets the
+    constant rank-1 sheaf over Q, whether or not it has a sheaf block,
+    and the block is not built.
 
     Each distinct map literal of a given shape is parsed once: covers
     that repeat it share one Matrix, and with it its composites and its
     rank.  A literal is kept for reuse only once it has parsed, so the
     first bad map in document order is the one reported.
     """
-    ring = _parse_field_tag(doc.field_tag) or QQ
+    ring = _parse_field_tag(doc.field_tag)
     poset = document_poset(doc)
-    if not doc.has_sheaf_block():
-        return SheavedSpace(poset, constant_sheaf(poset, ring, 1))
+    if ring is None or not doc.has_sheaf_block():
+        return SheavedSpace(poset, constant_sheaf(poset, ring or QQ, 1))
     dims = doc.stalks
     maps = {}
     parsed = {}  # (rows, cols, rows of scalar strings) -> Matrix

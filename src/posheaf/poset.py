@@ -3,28 +3,30 @@
 Elements are opaque, sortable names; the cover relation is the
 transitive reduction of the order.  :func:`build_poset` is the one way
 to make a poset: it validates the covers and computes, once, the cover
-tables and the strict up- and down-closure of every element.  Posets
-are immutable after construction, apart from the tables they compute on
+tables, a linear extension and the strict up- and down-closure of every
+element.  The cover tables are the one record of a poset's structure:
+its elements are their keys, its covers are read off them.  Posets are
+immutable after construction, apart from the tables they compute on
 first use.  Downsets and upsets go through :func:`build_poset` again.
-Removing elements needs no rebuild.  The cover tables are the one
-record of a subposet's covers, and :func:`_unlink`, the one code that
-edits them, takes one element out by the bridge rule, in place;
+Removing elements needs no rebuild: :func:`_unlink`, the one code that
+edits cover tables, takes one element out by the bridge rule, in place;
 :func:`_subposet_without` reads the subposet off them, comparing only
 the rows next to the removed elements and shrinking only the closures
-of the elements comparable to them.
-:func:`remove_element` is the two for one element; the working
-subspace of :mod:`posheaf.sheaf` and :func:`beat_core` call
+of the elements comparable to them.  :func:`remove_element` is the two
+for one element; the working subspace of :mod:`posheaf.sheaf` calls
 :func:`_unlink` for many.
 
-Every complex with constant coefficients is built on :func:`beat_core`.
-The Moebius function (:meth:`Poset.mobius`) rejects acyclicity without
-linear algebra.  :func:`simplicial_vertices` recognises the face poset
-of a simplicial complex.  :func:`order_complex` counts the chains
-before it lists them and refuses more than MAX_CHAINS.
+A poset's core is that of its constant sheaf
+(:func:`posheaf.simplify.poset_core`).  The Moebius function
+(:meth:`Poset.mobius`) rejects acyclicity without linear algebra.
+:func:`simplicial_vertices` recognises the face poset of a simplicial
+complex.  :func:`order_complex` counts the chains before it lists them
+and refuses more than MAX_CHAINS.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -65,16 +67,17 @@ class Poset:
     """Finite poset given by its Hasse diagram.
 
     Construct one with :func:`build_poset`, which validates the input
-    and hands over the cover and closure tables it computed.
+    and hands over the tables it computed.
     """
 
-    __slots__ = ("elements", "covers", "_above", "_below", "_upper", "_lower",
+    __slots__ = ("elements", "_covers", "_order", "_above", "_below", "_upper", "_lower",
                  "_mobius", "_acyclic")
 
-    def __init__(self, elements: tuple, covers: frozenset, upper: dict, lower: dict,
-                 above: dict, below: dict):
-        self.elements = elements
-        self.covers = covers
+    def __init__(self, upper: dict, lower: dict, above: dict, below: dict, order: tuple,
+                 covers: Optional[frozenset] = None):
+        self.elements = tuple(upper)
+        self._covers = covers  # read off `upper` on first use if None
+        self._order = order  # a linear extension
         self._upper = upper
         self._lower = lower
         self._above = above
@@ -92,17 +95,20 @@ class Poset:
         return len(self.elements)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Poset)
-            and set(self.elements) == set(other.elements)
-            and self.covers == other.covers
-        )
+        return isinstance(other, Poset) and self._upper == other._upper
 
     def __hash__(self):
-        return hash((frozenset(self.elements), self.covers))
+        return hash(frozenset(self._upper.items()))
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {len(self.covers)} covers)"
+
+    @property
+    def covers(self) -> frozenset:
+        """The cover pairs (lower, upper)."""
+        if self._covers is None:
+            self._covers = frozenset((u, v) for u, vs in self._upper.items() for v in vs)
+        return self._covers
 
     def _check(self, *els):
         for e in els:
@@ -138,8 +144,8 @@ class Poset:
         if mu is None:
             closure = self._above if dual else self._below
             mu = {}
-            # a closure strictly contains the closures of the elements in it
-            for e in sorted(self.elements, key=lambda e: len(closure[e])):
+            # every element of e's closure comes before e
+            for e in reversed(self._order) if dual else self._order:
                 mu[e] = -1 - sum(mu[t] for t in closure[e])
             self._mobius[dual] = mu
         return mu
@@ -148,21 +154,9 @@ class Poset:
         return tuple(e for e in self.elements if not self._upper[e])
 
     def linear_extension(self) -> tuple:
-        """Elements sorted compatibly with the order (ties by name)."""
-        indeg = {e: len(self._lower[e]) for e in self.elements}
-        import heapq
-
-        ready = [e for e in self.elements if indeg[e] == 0]
-        heapq.heapify(ready)
-        out = []
-        while ready:
-            e = heapq.heappop(ready)
-            out.append(e)
-            for v in self._upper[e]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(ready, v)
-        return tuple(out)
+        """Elements sorted compatibly with the order: ties by name from
+        :func:`build_poset`, the parent's order less the removed ones."""
+        return self._order
 
 
 def _closures(order, upper, lower) -> tuple[dict, dict]:
@@ -206,17 +200,19 @@ def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
         lower[v].append(u)
     upper = {e: tuple(sorted(vs)) for e, vs in upper.items()}
     lower = {e: tuple(sorted(us)) for e, us in lower.items()}
-    # cycle check: Kahn's algorithm, which also yields a topological order
+    # cycle check: Kahn's algorithm, smallest name first, which also
+    # yields the linear extension the poset keeps
     indeg = {e: len(lower[e]) for e in elements}
-    stack = [e for e in elements if indeg[e] == 0]
+    ready = [e for e in elements if indeg[e] == 0]
+    heapq.heapify(ready)
     order = []
-    while stack:
-        e = stack.pop()
+    while ready:
+        e = heapq.heappop(ready)
         order.append(e)
         for v in upper[e]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                stack.append(v)
+                heapq.heappush(ready, v)
     if len(order) != len(elements):
         cyc = sorted(e for e in elements if indeg[e] > 0)
         raise CycleError(f"cover relation contains a cycle through: {cyc}")
@@ -229,7 +225,7 @@ def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
                 raise RedundantCoverError(
                     f"cover ({u!r}, {v!r}) is implied by a path through {w!r}"
                 )
-    return Poset(elements, covers, upper, lower, above, below)
+    return Poset(upper, lower, above, below, tuple(order), covers)
 
 
 def leq(p: Poset, u, v) -> bool:
@@ -317,33 +313,10 @@ def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict):
     went.update((s, b) for s in removed for b in p._upper[s])
     came = {(a, b) for a in {a for a, _ in went if a not in removed}
             for b in upper[a] if b not in p._upper[a]}
-    q = Poset(tuple(e for e in p.elements if e not in removed), (p.covers - went) | came,
-              upper, lower, shrunk(p._above), shrunk(p._below))
+    q = Poset(upper, lower, shrunk(p._above), shrunk(p._below),
+              tuple(e for e in p._order if e not in removed))
     q._acyclic = p._acyclic
     return q, went, came
-
-
-def beat_core(p: Poset) -> Poset:
-    """What is left of p when beat points (a unique lower or a unique
-    upper cover) are removed until none is left; p itself if it has no
-    beat.  The core has p's homotopy type (Stong 1966) and is unique up
-    to isomorphism, whatever the order of removals.
-
-    Each beat is taken out of copies of p's tables by :func:`_unlink`,
-    and only its covers, whose cover counts change, are tested again.
-    The test is order-theoretic only: the core serves complexes with
-    constant coefficients and removes nothing from a sheaved space,
-    whose removals `posheaf.simplify.RULES` alone decides.
-    """
-    upper, lower = dict(p._upper), dict(p._lower)
-    todo = list(p.elements)
-    while todo and len(lower) > 1:
-        x = todo.pop()
-        if x in lower and (len(lower[x]) == 1 or len(upper[x]) == 1):
-            todo += lower[x] + upper[x]
-            _unlink(upper, lower, p._above, x)
-    removed = {e for e in p.elements if e not in lower}
-    return _subposet_without(p, removed, upper, lower)[0] if removed else p
 
 
 class OrderComplex:
@@ -382,8 +355,7 @@ def chain_count(p: Poset) -> int:
     below = p._below
     count = {}
     total = 0
-    # a closure strictly contains the closures of the elements in it
-    for e in sorted(p.elements, key=lambda e: len(below[e])):
+    for e in p._order:
         count[e] = 1 + sum(count[t] for t in below[e])
         total += count[e]
         if total > MAX_CHAINS:

@@ -6,9 +6,11 @@ upbeat's unique outgoing restriction map is an isomorphism.  The
 acyclic-downset rule removes any element whose strict downset has the
 integral homology of a point; acyclic-upset does the same for the
 strict upset when every cover map on or above the element is
-invertible.  Each predicate is valid for any sheaf.  Acyclicity is
-decided in two steps: a nonzero Moebius value rejects, and the integral
-homology of the beat core of the down- or upset decides the rest.
+invertible.  Each predicate is valid for any sheaf, and `RULES` is the
+only beat test: a poset's core is that of its constant sheaf
+(:func:`poset_core`).  Acyclicity is decided in two steps: a nonzero
+Moebius value rejects, and the integral homology of the core of the
+down- or upset decides the rest.
 
 Every removal loop (:func:`core`, :func:`simplify_pipeline`,
 :meth:`SimplificationTrace.replay`, :func:`find_beats`) runs on a working
@@ -27,9 +29,9 @@ from collections import namedtuple
 from typing import Optional
 
 from .cohomology import is_acyclic
-from .exact_linalg import rank
-from .poset import Poset, beat_core, induced_subposet, order_complex
-from .sheaf import SheavedSpace, _WorkingSubspace
+from .exact_linalg import QQ, rank
+from .poset import Poset, induced_subposet, order_complex
+from .sheaf import SheavedSpace, _WorkingSubspace, constant_sheaf
 
 
 class SimplifyError(Exception):
@@ -48,15 +50,15 @@ ACYCLIC_UPSET = "acyclic-upset"
 
 def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
     """True iff the strict downset of s (upset if `dual`) has acyclic
-    order complex, decided on its beat core past the Moebius test.
-    Those verdicts are kept by element set on the poset, which shares
+    order complex, decided on its core past the Moebius test.  Those
+    verdicts are kept by element set on the poset, which shares
     them with every poset induced from it."""
     keep = p.strictly_above(s) if dual else p.strictly_below(s)
     if p.mobius(dual)[s]:
         return False
     verdicts = p._acyclic
     if keep not in verdicts:
-        verdicts[keep] = is_acyclic(order_complex(beat_core(induced_subposet(p, keep))))
+        verdicts[keep] = is_acyclic(order_complex(poset_core(induced_subposet(p, keep))))
     return verdicts[keep]
 
 
@@ -247,6 +249,13 @@ def core(sp: SheavedSpace, rng: Optional[random.Random] = None) -> tuple[Sheaved
     if sp._core is None:
         sp._core = _greedy(sp, (), None)
     return sp._core
+
+
+def poset_core(p: Poset) -> Poset:
+    """Stong's core of p, which has p's homotopy type: the core of p's
+    constant sheaf, whose maps are identities, so that its beats are p's
+    beat points.  It shares p's acyclicity verdicts; p if p has no beat."""
+    return core(SheavedSpace(p, constant_sheaf(p, QQ)))[0].poset
 
 
 def simplify_pipeline(

@@ -24,10 +24,11 @@ from posheaf.fixtures import (
     circle_with_apex,
     face_poset,
     four_point_circle,
+    p5_gadget,
 )
-from posheaf.poset import beat_core, build_poset, order_complex
+from posheaf.poset import build_poset, order_complex
 from posheaf.sheaf import Sheaf, SheavedSpace, constant_sheaf, restrict
-from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep
+from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep, poset_core
 from test_cohomology import RP2
 
 
@@ -67,6 +68,15 @@ def antichain_sum_doc(layers, field="GF:7"):
     layer = [[f"l{i:02d}{s}" for s in "ab"] for i in range(layers)]
     return {"field": field, "elements": [e for pair in layer for e in pair],
             "covers": [[u, v] for lo, hi in zip(layer, layer[1:]) for u in lo for v in hi]}
+
+
+def with_block(stalks, maps, field="Q", elements=("a", "b"), covers=(("a", "b"),)):
+    """A document on `elements` and `covers` with the given sheaf block."""
+    return {"field": field, "elements": list(elements), "covers": [list(c) for c in covers],
+            "sheaf": {"stalks": stalks, "maps": maps}}
+
+
+IGNORED_BLOCK = "warning: sheaf block ignored for integral homology\n"
 
 
 def two_chain_doc():
@@ -198,6 +208,12 @@ class TestCohomology:
         assert main(["cohomology", path, "--max-degree", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "usage error" in captured.err
+
+    def test_non_integer_max_degree_is_usage_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, circle_doc())
+        assert main(["cohomology", path, "--max-degree", "x"]) == 1
+        assert capsys.readouterr() == (
+            "", "usage error: argument --max-degree: invalid degree 'x'\n")
 
     def test_gf_field(self, tmp_path, capsys):
         assert main(["cohomology", write_doc(tmp_path, circle_doc("GF:2"))]) == 0
@@ -369,7 +385,7 @@ class TestHomology:
         posets += [random_poset(rng, rng.randint(2, 11)) for _ in range(120)]
         checked = 0
         for p in posets:
-            if beat_core(p) is p:
+            if poset_core(p) is p:
                 continue
             unred = integral_homology(order_complex(p), reduced=False)
             red = integral_homology(order_complex(p))
@@ -415,7 +431,58 @@ class TestHomology:
             "timing_ms": 0,
         }
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
-        assert len(calls) == max(len(order_complex(beat_core(p)).simplices) - 1, 0)
+        assert len(calls) == max(len(order_complex(poset_core(p)).simplices) - 1, 0)
+
+
+def z_diamond_doc(top_right):
+    """The Z diamond bot < l, r < top, every stalk 1, with the map
+    literal `top_right` on r -> top and "1" on the other covers."""
+    return with_block(dict.fromkeys(["bot", "l", "r", "top"], 1),
+                      {"bot->l": [["1"]], "bot->r": [["1"]], "l->top": [["1"]],
+                       "r->top": [[top_right]]},
+                      field="Z", elements=["bot", "l", "r", "top"],
+                      covers=[("bot", "l"), ("bot", "r"), ("l", "top"), ("r", "top")])
+
+
+class TestZDocuments:
+    """A Z document is its poset: every command gives it the constant
+    rank-1 sheaf, warns once that its sheaf block is ignored, and never
+    builds that block; `cohomology` refuses it."""
+
+    def test_noncommuting_block_is_ignored(self, tmp_path, capsys):
+        path = write_doc(tmp_path, z_diamond_doc("-1"))
+        # homology reports unreduced groups, `core` and `simplify` the
+        # reduced ones of their Z certification: the diamond is a point
+        for command, betti in ((["validate"], None), (["homology"], [1]), (["core"], []),
+                               (["simplify", "--strategy", "constant-updown"], [])):
+            assert main([command[0], path, *command[1:]]) == 0, command
+            captured = capsys.readouterr()
+            assert captured.err == IGNORED_BLOCK
+            if betti is not None:
+                assert json.loads(captured.out)["betti"] == betti
+
+    def test_cohomology_refuses_before_building(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "document_space", lambda doc: pytest.fail("built a Z document"))
+        for doc in (z_diamond_doc("-1"), circle_doc("Z")):
+            assert main(["cohomology", write_doc(tmp_path, doc)]) == 1
+            assert capsys.readouterr() == (
+                "", "field 'Z' has no sheaf cohomology here; use the homology command\n")
+
+    def test_core_writes_the_constant_sheaf(self, tmp_path, capsys):
+        # the "1/2" maps are ignored, not written back into a Z document
+        doc = circle_doc("Z")
+        blocked = dict(doc, sheaf={"stalks": dict.fromkeys(doc["elements"], 1),
+                                   "maps": {f"{u}->{v}": [["1/2"]] for u, v in doc["covers"]}})
+        written = []
+        for d, err in ((doc, ""), (blocked, IGNORED_BLOCK)):
+            out = tmp_path / "out.json"
+            assert main(["core", write_doc(tmp_path, d), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == err
+            written.append(out.read_text())
+        assert written[0] == written[1]
+        data = json.loads(written[1])
+        assert data["field"] == "Z"
+        assert all(rows == [["1"]] for rows in data["sheaf"]["maps"].values())
 
 
 class TestSimplifyAndCore:
@@ -684,11 +751,25 @@ def test_undecodable_documents_exit_2(tmp_path, capsys, command, raw):
     assert captured.err.startswith("invalid document") and "Traceback" not in captured.err
 
 
+ONES = {"a": 1, "b": 1}
 INVALID = {
     "name-ending-in-newline": {"field": "Q", "elements": ["a\n"], "covers": []},
     **{f"field-{tag}": {"field": tag, "elements": ["a"], "covers": []}
        for tag in ("GF:1_1", "GF: 7", "GF:+7", "GF:\u0667")},
+    "field-GF-past-int-digits": {"field": "GF:" + "7" * 5000, "elements": ["a"], "covers": []},
+    "unknown-key": {"field": "Q", "elements": ["a"], "covers": [], "extra": 1},
+    "elements-not-a-list": {"field": "Q", "elements": "a", "covers": []},
+    "sheaf-not-an-object": dict(circle_doc(), sheaf=[]),
+    "stalk-for-unknown-element": with_block(dict(ONES, z=1), {"a->b": [["1"]]}),
+    "missing-stalk": with_block({"a": 1}, {"a->b": [["1"]]}),
+    "bad-map-key": with_block(ONES, {"a->b": [["1"]], "a->b->c": [["1"]]}),
+    "map-key-not-a-cover": with_block(ONES, {"a->b": [["1"]], "b->a": [["1"]]}),
+    "rows-not-a-list": with_block(ONES, {"a->b": "1"}),
+    "missing-map": with_block(ONES, {}),
+    "fraction-in-GF7": with_block(ONES, {"a->b": [["1/2"]]}, field="GF:7"),
 }
+# the only case in a map's scalars, which `homology` never parses
+UNREAD_BY_HOMOLOGY = INVALID["fraction-in-GF7"]
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology", "homology", "simplify", "core"])
@@ -696,10 +777,16 @@ INVALID = {
 def test_invalid_names_and_field_tags_exit_2(tmp_path, capsys, command, doc):
     # `$` also matches before a trailing newline, and int() takes a sign,
     # spaces, "_" and non-ASCII digits ("GF:1_1" was read as GF(11))
-    assert main([command, write_doc(tmp_path, doc)]) == 2
+    code = main([command, write_doc(tmp_path, doc)])
     captured = capsys.readouterr()
+    if command == "homology" and doc is UNREAD_BY_HOMOLOGY:
+        assert code == 0 and captured.err == IGNORED_BLOCK
+        assert json.loads(captured.out)["betti"] == [1]
+        return
+    assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("invalid document") and "Traceback" not in captured.err
+    assert captured.err.startswith("invalid document: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def written_out_doc(p, field):
@@ -713,9 +800,16 @@ def written_out_doc(p, field):
 BYTE_STABLE_DOCS = {
     "house-Q": lambda: written_out_doc(bing_house_poset(), "Q"),
     "apexes-GF7": lambda: written_out_doc(bing_house_with_apexes(), "GF:7"),
+    # cores that remove elements, and Z certifications
+    "circle-apex-GF7": lambda: written_out_doc(circle_with_apex(), "GF:7"),
+    "circle-apex-Z": lambda: poset_doc(circle_with_apex(), "Z"),
+    "p5-Z": lambda: poset_doc(p5_gadget(), "Z"),
+    "apexes-Z": lambda: poset_doc(bing_house_with_apexes(), "Z"),
 }
-# sha256 of stdout (timing_ms zeroed) and of the --out file, taken with
-# commit 4c7c5b1; a change to either is a change of the output format
+# sha256 of stdout (timing_ms zeroed) and of the --out file; a change to
+# either is a change of the output format.  "simplify" runs acyclic-down,
+# "simplify:<strategy>" another strategy.  The house-Q and apexes-GF7
+# digests were taken with commit 4c7c5b1, the others with commit 4b7311a.
 BYTE_STABLE = {
     ("house-Q", "validate"): (
         "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
@@ -757,14 +851,107 @@ BYTE_STABLE = {
         "4e15f67774fb4138f606cc2da47c19135019f9f83811969e55c7c69edf16a74c",
         "68a4b560dee24614c5c11f43fb6e4656edb9878b5f1ccd8f41b52c653f115ba8",
     ),
+    ("house-Q", "simplify:constant-updown"): (
+        "3a35e1232d17840b596354f8733a05b35b5fe824f9d7bd103c09d1015bc42cfd",
+        "3f08db2e1d200aa476d08340fa0919876aa45b0dc1b11bbbbb510394a9754771",
+    ),
+    ("apexes-GF7", "simplify:constant-updown"): (
+        "f98d5d9b11087f8890ea3b549691305d1ad4a527d4c037f65daf7673d2202893",
+        "22b9d4261519bea03e80dc1aa1d718bb163d196c345b68055020405cab696017",
+    ),
+    ("circle-apex-GF7", "validate"): (
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        None,
+    ),
+    ("circle-apex-GF7", "cohomology"): (
+        "64c797fa020e4c4229c2848ec48c45fc41f9a8b4341f576ebdc99d048192fd7f",
+        None,
+    ),
+    ("circle-apex-GF7", "homology"): (
+        "1a53adbdcc9d65e0c9c7855d4fd0ef84a470a0be8165766fdfa4d0a139b283e7",
+        None,
+    ),
+    ("circle-apex-GF7", "core"): (
+        "b0198bfd8dc0bedea5af068d4863104005f7cdd710d855f5d2d14902606f75f4",
+        "f4230c9106a4d30482502e597e9e5539d975b486f76af5a949454c507b646dc2",
+    ),
+    ("circle-apex-GF7", "simplify"): (
+        "5f08e96eb3951476c4fb5b841c08d31c40084d7909a21a693e92f70e3b43b042",
+        "5096f9d35982ff2b20f9dd3f483ef9a18000be4e671c83170ea88ddfcc217af4",
+    ),
+    ("circle-apex-GF7", "simplify:constant-updown"): (
+        "d02f34cec0abf9bd2d878bb8bd02031a8b2c3c9fdbe4106f4ec15f230b5b43e2",
+        "b465120cbc07d9568a71ceace71dd7c7eccf4e81bd698dc551e3d2c33a3b7f2e",
+    ),
+    ("circle-apex-Z", "validate"): (
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        None,
+    ),
+    ("circle-apex-Z", "homology"): (
+        "1a53adbdcc9d65e0c9c7855d4fd0ef84a470a0be8165766fdfa4d0a139b283e7",
+        None,
+    ),
+    ("circle-apex-Z", "core"): (
+        "0daca971c0754c13afcb2650df3fd33a334c6010ea45a899109f98ecb54af1c9",
+        "4187b00f4b944e5b35838288495e7e72c977d8e4b77017286a90d4863a38275a",
+    ),
+    ("circle-apex-Z", "simplify"): (
+        "8b0671e6d31243650d9b5f1d3f4e39f12ae092dcc2fa3a127909d00ad8818f4a",
+        "738e98e6c32dd83ce29cc8f686b2e4a14d5c979e4d69b3706ebd6ff7ad4e7c41",
+    ),
+    ("circle-apex-Z", "simplify:constant-updown"): (
+        "d44294f46291b60336986b6277eb2cc8e74f92d5bfab146bfeea92f2918e62b1",
+        "534bdb04eb5df6546989afbf4cc608129c1593187ee56caae29747edea503471",
+    ),
+    ("p5-Z", "validate"): (
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        None,
+    ),
+    ("p5-Z", "homology"): (
+        "60280c9f54269511c87f75d682240a3870c81b1b1a18e7c21737e55c11e58a25",
+        None,
+    ),
+    ("p5-Z", "core"): (
+        "56d6f27492e48481c7f9d18e9043f1f1469546840f25789e5363e2b2b4fb2338",
+        "cd305b4be70db7f529933ec6256853ef867a634544da3e202f5ed02998a788ee",
+    ),
+    ("p5-Z", "simplify"): (
+        "0c1adcc60dc1aa49a80e48c52ce7935861e27ce145dfd660b93c66a10e451fe2",
+        "60a8bda789272ab6b508b2da45a830b84543846bd4ac3aeb1f1273fa828b6567",
+    ),
+    ("p5-Z", "simplify:constant-updown"): (
+        "6efd271ad2d5a91958be8d96b3e80c4165ab1fb2b426701f935b3053d33def8d",
+        "05845e5c66f0cbb72603eda1b1025398c3e08d2229cbd972e01c988977c53fb6",
+    ),
+    ("apexes-Z", "validate"): (
+        "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+        None,
+    ),
+    ("apexes-Z", "homology"): (
+        "28decce5b9cb30b8e838e8168d900c3b3259902f7a626a69056971e7d616d3a0",
+        None,
+    ),
+    ("apexes-Z", "core"): (
+        "9936511bc9072491e80ca00cffa83b7ff4aaadaa193aba053a39ae04bdf02ed4",
+        "094640a75d094af6335ac448ebd1a49a9777a158c5dca9404e5f249e765d1ea6",
+    ),
+    ("apexes-Z", "simplify"): (
+        "979ec46e4496b7a7a4c9e7789e4a2807e838428fd2285877d6c74d060f97f0eb",
+        "f061af42493e63f15d5e407e1b4ab68924d46bcf8c12f5eb4f01b46d272c8b99",
+    ),
+    ("apexes-Z", "simplify:constant-updown"): (
+        "1f4f416e6baa89eb1ce34b5f6ecdb44890997458b140a8df8ca7a0243fd021a5",
+        "0f5da1c5808f82d96d61e9c31957577e4656ea9184ec7fc611098c1a0b9aa622",
+    ),
 }
 
 
 def pinned_digests(tmp_path, capsys, name, command):
     """(stdout digest, --out digest or None) of one CLI run on a document."""
+    command, _, strategy = command.partition(":")
     argv = [command, write_doc(tmp_path, BYTE_STABLE_DOCS[name]())]
     if command == "simplify":
-        argv += ["--strategy", "acyclic-down"]
+        argv += ["--strategy", strategy or "acyclic-down"]
     out_path = tmp_path / "out.json"
     if command in ("core", "simplify"):
         argv += ["--out", str(out_path)]

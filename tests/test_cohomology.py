@@ -307,6 +307,11 @@ class TestComplexValidation:
         with pytest.raises(ComplexError):
             CochainComplex((1, 2), (Matrix.from_rows(QQ, [[1]]),))
 
+    def test_one_differential_per_degree_pair(self):
+        with pytest.raises(ComplexError) as info:
+            CochainComplex((1, 1), ())
+        assert str(info.value) == "need one differential per consecutive degree pair"
+
 
 class TestSimplicialHomology:
     def test_two_points(self):

@@ -19,6 +19,7 @@ from posheaf.exact_linalg import (
     LinalgError,
     Matrix,
     ShapeError,
+    SmithForm,
     compose,
     kernel_basis,
     rank,
@@ -338,6 +339,30 @@ def test_dense_and_sparse_construction_agree(rows):
 def test_inexact_scalars_rejected(make):
     with pytest.raises(LinalgError):
         make()
+
+
+REFUSALS = {
+    "unparsable-scalar": (lambda: QQ.coerce("x"), LinalgError, "not an exact scalar: 'x'"),
+    "column-outside": (lambda: Matrix.from_sparse(QQ, 1, 2, [{2: 1}]), ShapeError,
+                       "column index outside a 1x2 matrix"),
+    "too-few-rows": (lambda: Matrix.from_sparse(QQ, 2, 2, [{}]), ShapeError,
+                     "1 rows given for a 2x2 matrix"),
+    "negative-shape": (lambda: Matrix.from_sparse(QQ, 0, -1, []), ShapeError,
+                       "negative shape 0x-1"),
+    "vector-length": (lambda: Matrix.identity(QQ, 2).apply([1]), ShapeError,
+                      "vector length 1 != cols 2"),
+    "broken-divisibility": (lambda: SmithForm((2, 3)), LinalgError,
+                            "broken divisibility chain: (2, 3)"),
+    "nonpositive-factor": (lambda: SmithForm((0,)), LinalgError,
+                           "nonpositive invariant factor: (0,)"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_name_their_cause(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message
 
 
 class _Int(int):

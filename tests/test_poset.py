@@ -1,10 +1,12 @@
+import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from gen import random_poset
-from posheaf import poset as poset_module
+from posheaf import sheaf as sheaf_module
 from posheaf.fixtures import (
     bing_house_poset,
     circle_with_apex,
@@ -23,7 +25,6 @@ from posheaf.poset import (
     UnknownElementError,
     _unlink,
     build_poset,
-    beat_core,
     chain_count,
     downset,
     induced_subposet,
@@ -33,6 +34,7 @@ from posheaf.poset import (
     remove_element,
     upset,
 )
+from posheaf.simplify import poset_core
 
 
 def chain(*names):
@@ -59,6 +61,11 @@ class TestBuild:
     def test_unknown_element(self):
         with pytest.raises(UnknownElementError):
             build_poset(["a"], [("a", "b")])
+
+    def test_unknown_lower_endpoint(self):
+        with pytest.raises(UnknownElementError) as info:
+            build_poset(["b"], [("a", "b")])
+        assert str(info.value) == "unknown element in cover: 'a'"
 
     def test_duplicate_names(self):
         with pytest.raises(Exception):
@@ -169,7 +176,7 @@ def cone_over_house():
 
 
 def collapses_by_rebuilding(p) -> bool:
-    """Reference for a one-point `beat_core`: remove any beat through a
+    """Reference for a one-point `poset_core`: remove any beat through a
     full rebuild of the poset until none is left."""
     while len(p) > 1:
         beats = [e for e in p.elements if is_downbeat(p, e) or is_upbeat(p, e)]
@@ -196,7 +203,7 @@ class TestCertificates:
 
     def test_collapse_examples(self):
         def core_is_point(p):
-            return len(beat_core(p)) == 1
+            return len(poset_core(p)) == 1
 
         assert core_is_point(chain("a"))
         assert core_is_point(chain("a", "b", "c"))
@@ -215,7 +222,7 @@ class TestCertificates:
                                    four_point_circle(), bing_house_poset()],
                              ids=["empty", "antichain", "circle", "house"])
     def test_beat_free_poset_is_its_own_core(self, p):
-        assert beat_core(p) is p
+        assert poset_core(p) is p
 
     def test_collapse_matches_rebuilding_reference(self):
         # the core is the induced subposet on its elements, has no beat
@@ -226,7 +233,7 @@ class TestCertificates:
         for _ in range(150):
             p = random_poset(rng, rng.randint(1, 12))
             for q in [p] + [downset(p, s) for s in p.elements]:
-                c = beat_core(q)
+                c = poset_core(q)
                 assert c == induced_subposet(q, c.elements)
                 assert not any(is_downbeat(c, e) or is_upbeat(c, e) for e in c.elements)
                 expected = collapses_by_rebuilding(q)
@@ -264,9 +271,9 @@ class TestCertificates:
                              ids=["8-chain", "circle-with-apex", "p5-gadget", "house-cone"])
     def test_collapse_unlinks_each_beat_once(self, monkeypatch, p):
         calls = []
-        monkeypatch.setattr(poset_module, "_unlink",
+        monkeypatch.setattr(sheaf_module, "_unlink",
                             lambda *a, fn=_unlink: calls.append(a[-1]) or fn(*a))
-        assert len(beat_core(p)) == 1
+        assert len(poset_core(p)) == 1
         assert len(calls) == len(set(calls)) == len(p) - 1
 
     def test_subposets_share_the_verdict_memo(self):
@@ -274,6 +281,8 @@ class TestCertificates:
         q = downset(p, "s")
         assert q._acyclic is p._acyclic
         assert remove_element(q, q.elements[0])._acyclic is p._acyclic
+        core = poset_core(p)
+        assert len(core) == 1 and core._acyclic is p._acyclic
         assert build_poset(q.elements, q.covers)._acyclic is not p._acyclic
 
 
@@ -368,6 +377,7 @@ class TestRemoveElementAgainstRebuild:
                 fresh = induced_subposet(p, set(p.elements) - {s})
                 assert q.elements == fresh.elements
                 assert q.covers == fresh.covers
+                assert q == fresh and hash(q) == hash(fresh)
                 for e in q.elements:
                     assert q.upper_covers(e) == fresh.upper_covers(e)
                     assert q.lower_covers(e) == fresh.lower_covers(e)
@@ -376,7 +386,25 @@ class TestRemoveElementAgainstRebuild:
                 assert q.mobius() == fresh.mobius()
                 assert q.mobius(dual=True) == fresh.mobius(dual=True)
                 assert q._acyclic is p._acyclic
+                # the parent's order less s, which the rebuild need not give
+                assert q.linear_extension() == tuple(e for e in p.linear_extension() if e != s)
                 p = q
+
+
+def reference_linear_extension(p) -> tuple:
+    """Kahn's algorithm on the cover pairs, smallest name first."""
+    indeg = Counter(v for (_, v) in p.covers)
+    ready, out = [e for e in p.elements if not indeg[e]], []
+    while ready:
+        e = min(ready)
+        ready.remove(e)
+        out.append(e)
+        for (u, v) in p.covers:
+            if u == e:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    ready.append(v)
+    return tuple(out)
 
 
 def reference_strict_order(elements, covers) -> set:
@@ -400,6 +428,15 @@ class TestTablesAgainstReference:
         for _ in range(40):
             p = random_poset(rng, rng.randint(1, 10))
             self.check(p, reference_strict_order(p.elements, p.covers))
+
+    def test_linear_extension_is_smallest_name_first(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            # relabelled, so that name order is not an order of the poset
+            p = relabelled(random_poset(rng, rng.randint(0, 10)), rng)
+            assert p.linear_extension() == reference_linear_extension(p)
+            q = induced_subposet(p, [e for e in p.elements if rng.random() < 0.6])
+            assert q.linear_extension() == reference_linear_extension(q)
 
     def test_random_induced_subposets(self):
         rng = random.Random(29)
@@ -449,6 +486,79 @@ class TestIsomorphism:
         p = build_poset([f"e{i}" for i in range(25)], [])
         with pytest.raises(IsomorphismSizeError):
             posets_isomorphic(p, p)
+
+    def test_one_crown_is_not_two(self):
+        # equal sizes, cover counts and signature multisets: only the
+        # search can tell a 12-cycle from two 6-cycles
+        big = crown(6)
+        two = build_poset(crown(3, "x").elements + crown(3, "y").elements,
+                          crown(3, "x").covers | crown(3, "y").covers)
+        t0 = time.perf_counter()
+        assert posets_isomorphic(big, two) is None
+        assert posets_isomorphic(two, big) is None
+        assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_relabelled_crown_needs_backtracking(self, levels):
+        # all elements of a level share one signature, so the search
+        # makes choices that later elements refute; from the relabelled
+        # side it meets the levels in a shuffled order
+        p = crown(6, levels=levels)
+        q = relabelled(p, random.Random(29))
+        for a, b in ((p, q), (q, p)):
+            m = posets_isomorphic(a, b)
+            assert m is not None and sorted(m.values()) == sorted(b.elements)
+            assert {(m[u], m[v]) for (u, v) in a.covers} == set(b.covers)
+
+    def test_matches_brute_force(self):
+        """Same verdict as a search over every bijection, on seeded
+        posets of at most 7 elements and relabelled copies of them; a
+        mapping returned sends covers onto covers."""
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            p = random_poset(rng, n)
+            q = random_poset(rng, n)
+            r = relabelled(p, rng)
+            # from r, whose names are shuffled, the search meets elements
+            # in an order that the order of p does not predict
+            for a, b in ((p, q), (p, r), (r, p)):
+                m = posets_isomorphic(a, b)
+                assert (m is not None) == isomorphic_by_brute_force(a, b)
+                if m is not None:
+                    assert sorted(m.values()) == sorted(b.elements)
+                    assert {(m[u], m[v]) for (u, v) in a.covers} == set(b.covers)
+                verdicts.append(m is not None)
+        assert 40 < sum(verdicts) < len(verdicts) - 10
+
+
+def crown(n, prefix="", levels=2):
+    """`levels` levels a, b, ... of n elements, the i-th of each level
+    below the i-th and the (i+1)-th (mod n) of the next: with two
+    levels, a_i < b_i and a_i < b_{i+1}, a 2n-cycle."""
+    names = [[f"{prefix}{level}{i}" for i in range(n)] for level in "abcdef"[:levels]]
+    return build_poset([e for level in names for e in level],
+                       [(lo[i], hi[(i + k) % n]) for lo, hi in zip(names, names[1:])
+                        for i in range(n) for k in (0, 1)])
+
+
+def relabelled(p, rng):
+    """p with its elements renamed by a random permutation of new names."""
+    names = [f"r{i:02d}" for i in range(len(p))]
+    rng.shuffle(names)
+    new = dict(zip(p.elements, names))
+    return build_poset(names, [(new[u], new[v]) for (u, v) in p.covers])
+
+
+def isomorphic_by_brute_force(p, q) -> bool:
+    if len(p) != len(q) or len(p.covers) != len(q.covers):
+        return False
+    for image in itertools.permutations(q.elements):
+        m = dict(zip(p.elements, image))
+        if all((m[u], m[v]) in q.covers for (u, v) in p.covers):
+            return True
+    return False
 
 
 def test_derived_posets_revalidate():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gen import random_poset, random_sheaf, random_space
 from posheaf import sheaf as sheaf_module
-from posheaf.exact_linalg import GF, QQ, Matrix, compose
+from posheaf.exact_linalg import GF, QQ, ZZ, Matrix, compose
 from posheaf.fixtures import four_point_circle, p5_poset
 from posheaf.poset import Poset, build_poset, downset, leq
 from posheaf.sheaf import (
@@ -133,6 +133,45 @@ class TestConstruction:
         p = build_poset(["a", "b"], [("a", "b")])
         f = Sheaf(p, QQ, {"a": 0, "b": 3}, {("a", "b"): Matrix.zeros(QQ, 3, 0)})
         assert f.total_dim() == 3
+
+
+def two_chain():
+    return build_poset(["a", "b"], [("a", "b")])
+
+
+def antichain():
+    return build_poset(["a", "b"], [])
+
+
+EYE = Matrix.identity(QQ, 1)
+REFUSALS = {
+    "integer-ring": (lambda: Sheaf(two_chain(), ZZ, {"a": 1, "b": 1}, {("a", "b"): EYE}),
+                     "sheaf coefficients must be Q or GF(p), got ZZ"),
+    "missing-stalk": (lambda: Sheaf(two_chain(), QQ, {"a": 1}, {("a", "b"): EYE}),
+                      "missing stalk dimension for 'b'"),
+    "unknown-stalk": (lambda: Sheaf(antichain(), QQ, {"a": 1, "b": 1, "z": 1}, {}),
+                      "stalks for unknown elements: ['z']"),
+    "map-for-non-cover": (lambda: Sheaf(antichain(), QQ, {"a": 1, "b": 1}, {("a", "b"): EYE}),
+                          "maps for non-covers: [('a', 'b')]"),
+    "map-over-another-ring": (lambda: Sheaf(two_chain(), QQ, {"a": 1, "b": 1},
+                                            {("a", "b"): Matrix.identity(GF(7), 1)}),
+                              "map for ('a', 'b') has ring GF(7), sheaf has QQ"),
+    "foreign-base": (lambda: SheavedSpace(two_chain(), constant_sheaf(antichain(), QQ)),
+                     "sheaf base differs from the given poset"),
+    "negative-constant-rank": (lambda: constant_sheaf(two_chain(), QQ, -1), "negative rank"),
+    "negative-supported-rank": (lambda: skyscraper_sheaf(two_chain(), "a", QQ, -1),
+                                "negative rank"),
+    "pullback-off-its-domain": (lambda: pullback({"a": "a"}, two_chain(),
+                                                 constant_sheaf(two_chain(), QQ)),
+                                "map not defined at 'b'"),
+}
+
+
+@pytest.mark.parametrize("make, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_name_their_cause(make, message):
+    with pytest.raises(SheafError) as info:
+        make()
+    assert str(info.value) == message
 
 
 class TestCommutativity:

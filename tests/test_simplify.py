@@ -23,7 +23,6 @@ from posheaf.fixtures import (
     p5_gadget,
 )
 from posheaf.poset import (
-    beat_core,
     build_poset,
     downset,
     induced_subposet,
@@ -59,6 +58,7 @@ from posheaf.simplify import (
     collapse_beat,
     core,
     find_beats,
+    poset_core,
     remove_acyclic_downset,
     removable_by_acyclic_downset,
     removable_by_acyclic_upset,
@@ -378,7 +378,7 @@ class TestAcyclicityCertificates:
                     if mu[s]:
                         assert not is_acyclic(order_complex(q))
                         rejected += 1
-                    if len(beat_core(q)) == 1:
+                    if len(poset_core(q)) == 1:
                         assert is_acyclic(order_complex(q))
                         accepted += 1
         assert rejected > 1000 and accepted > 500
