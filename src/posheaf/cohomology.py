@@ -199,16 +199,20 @@ def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
     Removing a beat keeps sheaf cohomology, so the complex is built only
     for :func:`~posheaf.simplify.core` of the space: the cellular complex
     if the core is a simplicial face poset, the Roos complex otherwise.
-    The result has one degree per element of a longest chain of the
-    input, as the input's own complex would; the chain budget
-    (:class:`~posheaf.poset.ChainCountError`) applies to the core.
+    The core keeps that result, so every space with the same core object
+    shares one complex.  The result has one degree per element of a
+    longest chain of the input, as the input's own complex would; the
+    chain budget (:class:`~posheaf.poset.ChainCountError`) applies to
+    the core.
     """
     from .simplify import core  # simplify imports this module
 
     reduced, trace = core(sp)
-    vertices = simplicial_vertices(reduced.poset)
-    c = roos_complex(reduced) if vertices is None else cellular_complex(reduced, vertices)
-    h = field_cohomology(c)
+    h = reduced._cohomology
+    if h is None:
+        vertices = simplicial_vertices(reduced.poset)
+        c = roos_complex(reduced) if vertices is None else cellular_complex(reduced, vertices)
+        h = reduced._cohomology = field_cohomology(c)
     if not trace.steps:
         return h
     pad = _longest_chain(sp.poset) - len(h.betti)

@@ -13,7 +13,8 @@ Subspaces of a verified space are made by a private working subspace
 changing only the cover tables next to it, and a :class:`SheavedSpace`
 is built only when one is asked for.  :func:`restrict` and every
 removal loop and rule of :mod:`posheaf.simplify` run on it.  A space
-keeps the deterministic core that :func:`posheaf.simplify.core` finds.
+keeps the deterministic core that :func:`posheaf.simplify.core` finds,
+and a core keeps its sheaf cohomology once it has been computed.
 """
 
 from __future__ import annotations
@@ -98,10 +99,14 @@ class Sheaf:
     def restriction(self, u, v) -> Matrix:
         """The composite map u -> v for u <= v, made on first use.
 
-        The path walks up from u, each step to the smallest-named upper
-        cover that lies below v; commutativity makes the choice
-        immaterial.  The composite x -> v of every x on the path is kept.
+        A cover's map is returned as it is.  Otherwise the path walks up
+        from u, each step to the smallest-named upper cover that lies
+        below v; commutativity makes the choice immaterial.  The
+        composite x -> v of every x on the path is kept.
         """
+        m = self.cover_maps.get((u, v))
+        if m is not None:
+            return m
         if not leq(self.base, u, v):
             raise SheafError(f"{u!r} is not below {v!r}")
         if u == v:
@@ -135,10 +140,13 @@ class SheavedSpace:
     """A poset together with a sheaf on it.
 
     `_core` keeps the space's deterministic core and its trace once
-    :func:`posheaf.simplify.core` has computed them (None before).
+    :func:`posheaf.simplify.core` has computed them (None before).  A
+    core keeps its own sheaf cohomology in `_cohomology`, unpadded, once
+    :func:`posheaf.cohomology.sheaf_cohomology` has computed it (None
+    before, and on every space that is not its own core).
     """
 
-    __slots__ = ("poset", "sheaf", "_core")
+    __slots__ = ("poset", "sheaf", "_core", "_cohomology")
 
     def __init__(self, poset: Poset, sheaf: Sheaf):
         if sheaf.base is not poset and sheaf.base != poset:
@@ -146,6 +154,7 @@ class SheavedSpace:
         self.poset = poset
         self.sheaf = sheaf
         self._core = None
+        self._cohomology = None
 
     def __eq__(self, other):
         return (

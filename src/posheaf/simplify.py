@@ -18,7 +18,8 @@ subspace of :mod:`posheaf.sheaf`, and the predicates of `RULES` take a
 working subspace only.  The beat rules read its cover tables, so a beat
 removal builds nothing; the pass rules read the space it builds.  A
 space that a loop returns has no beat left, so it is recorded as its
-own core, and :func:`core` computes each space's deterministic core once.
+own core, and :func:`core` computes each space's deterministic core
+once; :func:`simplify_pipeline` without a random order starts from it.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def remove_acyclic_downset(sp: SheavedSpace, s) -> SheavedSpace:
 def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationTrace]:
     """Beats one at a time (lowest name first, or random with `rng`); when
     none is left, one pass over the elements (shuffled with `rng`) trying
-    `rules` in table order, then beats again.  `find_beats` runs once: a
+    `rules` in table order, then beats again.  `find_beats` runs once, and
+    not at all without `rng` on a space recorded as its own core: a
     removal can change the beat status of the removed element's covers
     only, so only they are tested again, before the next beat is chosen.
 
@@ -192,7 +194,8 @@ def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationT
     space only for a pass rule and at the end.  The space returned has no
     beat left, so it is recorded as its own core."""
     w, steps = _WorkingSubspace(sp), []
-    kinds = {b.element: b.kind for b in find_beats(sp)}
+    own_core = rng is None and sp._core is not None and sp._core[0] is sp
+    kinds = {} if own_core else {b.element: b.kind for b in find_beats(sp)}
     beats = sorted(kinds)  # what find_beats would list, by name
     stale = set()  # elements whose covers changed since their last test
 
@@ -264,12 +267,21 @@ def simplify_pipeline(
     rng: Optional[random.Random] = None,
 ) -> tuple[SheavedSpace, SimplificationTrace]:
     """Greedy removal loop: beats first, then the strategy's pass rules
-    (see STRATEGY_RULES), for any sheaf.  The trace is replayed before
-    returning (`ReplayError` if refused).
+    (see STRATEGY_RULES), for any sheaf.  Without an `rng` the loop
+    starts from the memoized :func:`core` of `sp`, which is where its
+    beats lead, and the trace lists the core's steps first; if the pass
+    removes nothing, the result is the core itself.  The trace is
+    replayed from `sp` before returning (`ReplayError` if refused).
     """
     if strategy not in STRATEGY_RULES:
         raise SimplifyError(f"unknown strategy {strategy!r}")
-    out, trace = _greedy(sp, STRATEGY_RULES[strategy], rng)
+    rules = STRATEGY_RULES[strategy]
+    if rng is None:
+        start, head = core(sp)
+        out, tail = _greedy(start, rules, None)
+        trace = SimplificationTrace(head.steps + tail.steps, sp, out)
+    else:
+        out, trace = _greedy(sp, rules, rng)
     if trace.replay() != out:
         raise ReplayError("replay did not reproduce the result")
     return out, trace

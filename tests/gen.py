@@ -13,7 +13,7 @@ import math
 import random
 from fractions import Fraction
 
-from posheaf.exact_linalg import Matrix, PrimeField, compose
+from posheaf.exact_linalg import GF, QQ, Matrix, PrimeField, compose
 from posheaf.poset import Poset, build_poset
 from posheaf.sheaf import Sheaf, SheavedSpace, leq
 
@@ -186,6 +186,44 @@ def gauged(rng: random.Random, sheaf: Sheaf) -> Sheaf:
 
 def random_space(rng, poset, ring, **kw) -> SheavedSpace:
     return SheavedSpace(poset, random_sheaf(rng, poset, ring, **kw))
+
+
+def rescaled(rng: random.Random, sp: SheavedSpace) -> SheavedSpace:
+    """An isomorphic space over Q whose maps have non-integral entries:
+    every stalk basis vector is scaled by 2, -3 or 1/2."""
+    f = sp.sheaf
+    d = {e: [rng.choice((2, -3, Fraction(1, 2))) for _ in range(n)] for e, n in f.stalk_dim.items()}
+    maps = {(u, v): Matrix(QQ, m.rows, m.cols,
+                           [[Fraction(x) * d[v][i] / d[u][j] for j, x in enumerate(row)]
+                            for i, row in enumerate(m.entries)])
+            for (u, v), m in f.cover_maps.items()}
+    return SheavedSpace(sp.poset, Sheaf(sp.poset, QQ, f.stalk_dim, maps))
+
+
+def gauged_suite(seed: int, count: int, sizes=(12, 18), edge_prob: float = 0.25):
+    """`count` seeded spaces on random posets: a gauged random sheaf over
+    GF(7), or one over Q that is also rescaled to non-integral maps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = random_poset(rng, rng.randint(*sizes), edge_prob)
+        ring = rng.choice([QQ, GF(7)])
+        sp = random_space(rng, p, ring)
+        yield rescaled(rng, sp) if ring == QQ else sp
+
+
+def zigzag_poset(dual=False):
+    """A beat-free poset in which the strict downset of s (its upset if
+    `dual`) is a zigzag path, which is contractible: x duplicates s's
+    covers and y ties the path ends together, so every element has
+    branching above and below."""
+    covers = [
+        ("m1", "t1"), ("m2", "t1"), ("m2", "t2"), ("m3", "t2"),
+        ("t1", "s"), ("t2", "s"), ("t1", "x"), ("t2", "x"),
+        ("m1", "y"), ("m3", "y"),
+    ]
+    if dual:
+        covers = [(v, u) for u, v in covers]
+    return build_poset(["m1", "m2", "m3", "t1", "t2", "s", "x", "y"], covers)
 
 
 def random_ideal(rng: random.Random, poset: Poset) -> set:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_poset, random_sheaf, random_space
+from gen import random_poset, random_sheaf, random_space, rescaled
 from posheaf import __version__, cli
 from posheaf import cohomology as cohomology_module
 from posheaf import sheaf as sheaf_module
@@ -27,7 +27,7 @@ from posheaf.fixtures import (
     p5_gadget,
 )
 from posheaf.poset import build_poset, order_complex
-from posheaf.sheaf import Sheaf, SheavedSpace, constant_sheaf, restrict
+from posheaf.sheaf import SheavedSpace, constant_sheaf, restrict
 from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep, poset_core
 from test_cohomology import RP2
 
@@ -642,18 +642,6 @@ class TestSimplifyAndCore:
             calls.clear()
 
 
-def _rescaled(rng, sp):
-    """An isomorphic space whose maps have non-integral entries: every
-    stalk basis vector is scaled by 2, -3 or 1/2."""
-    f = sp.sheaf
-    d = {e: [rng.choice((2, -3, Fraction(1, 2))) for _ in range(n)] for e, n in f.stalk_dim.items()}
-    maps = {(u, v): Matrix(QQ, m.rows, m.cols,
-                           [[Fraction(x) * d[v][i] / d[u][j] for j, x in enumerate(row)]
-                            for i, row in enumerate(m.entries)])
-            for (u, v), m in f.cover_maps.items()}
-    return SheavedSpace(sp.poset, Sheaf(sp.poset, QQ, f.stalk_dim, maps))
-
-
 class TestRoundTrip:
     def test_scalars_survive_serialization(self, tmp_path, capsys):
         rng = random.Random(89)
@@ -667,7 +655,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("make, non_integral", [
         (lambda: SheavedSpace(bing_house_poset(), constant_sheaf(bing_house_poset(), QQ)), False),
-        (lambda: _rescaled(random.Random(7), random_space(random.Random(7),
+        (lambda: rescaled(random.Random(7), random_space(random.Random(7),
                                                           random_poset(random.Random(7), 9), QQ)),
          True),
     ], ids=["house", "gauged-random"])

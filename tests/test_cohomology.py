@@ -6,13 +6,15 @@ between the sheaf-theoretic and simplicial routes for constant
 coefficients.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_poset, random_sheaf
+from gen import gauged, gauged_suite, random_poset, random_sheaf, rescaled
+from posheaf import cohomology as cohomology_module
 from posheaf.cohomology import (
     CochainComplex,
     ComplexError,
@@ -43,7 +45,7 @@ from posheaf.sheaf import (
     skyscraper_sheaf,
     strict_down_sheaf,
 )
-from posheaf.simplify import core, find_beats
+from posheaf.simplify import core, find_beats, simplify_pipeline
 
 
 # the minimal 6-vertex triangulation of the real projective plane
@@ -284,6 +286,80 @@ class TestComputedOnTheCore:
         p = random_poset(rng, n)
         sp = space(p, sheaves_on(rng, p, ring)[which])
         assert sheaf_cohomology(sp) == unreduced(sp)
+
+
+class TestCoreKeepsItsCohomology:
+    """A core keeps its own cohomology, unpadded, and each input pads it
+    to its own longest chain: the first and every repeated result on an
+    input, its core and its reduced space equal the Roos computation on
+    that space as given, with one complex per distinct core."""
+
+    ORDERS = list(itertools.permutations(("input", "core", "reduced")))
+
+    @staticmethod
+    def count_complexes(monkeypatch) -> list:
+        calls = []
+        field = cohomology_module.field_cohomology
+        monkeypatch.setattr(cohomology_module, "field_cohomology",
+                            lambda c: calls.append(c) or field(c))
+        return calls
+
+    @staticmethod
+    def assert_kept(sp, order, calls):
+        """Returns whether the core is shorter than the input's longest
+        chain, and the number of distinct cores."""
+        c = core(sp)[0]
+        named = {"input": sp, "core": c, "reduced": simplify_pipeline(sp, "acyclic-down")[0]}
+        expected = {name: unreduced(x) for name, x in named.items()}
+        del calls[:]
+        for name in order:
+            for _ in range(2):
+                assert sheaf_cohomology(named[name]) == expected[name], name
+        for name in ("core", "reduced"):
+            assert expected[name].same_groups(expected["input"])
+        cores = {id(core(x)[0]): core(x)[0] for x in named.values()}
+        assert len(calls) == len(cores)
+        for x in cores.values():
+            assert x._cohomology == unreduced(x)
+        if sp is not c:
+            assert sp._cohomology is None
+        return len(expected["core"].betti) < len(expected["input"].betti), len(cores)
+
+    def test_seeded(self, monkeypatch):
+        calls = self.count_complexes(monkeypatch)
+        short = passed = 0
+        for k, sp in enumerate(gauged_suite(227, 60)):
+            shorter, cores = self.assert_kept(sp, self.ORDERS[k % 6], calls)
+            short += shorter
+            passed += cores == 2  # the pass removed something
+        assert short >= 30 and passed >= 2
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 10),
+        ring=st.sampled_from([QQ, GF(7)]),
+        k=st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis(self, seed, n, ring, k):
+        rng = random.Random(seed)
+        p = random_poset(rng, n)
+        sp = space(p, random_sheaf(rng, p, ring))
+        if ring == QQ:
+            sp = rescaled(rng, sp)
+        with pytest.MonkeyPatch.context() as mp:
+            self.assert_kept(sp, self.ORDERS[k], self.count_complexes(mp))
+
+    @pytest.mark.parametrize("core_first", [False, True])
+    def test_input_padded_core_unpadded(self, core_first):
+        p = circle_with_apex()
+        for ring in (QQ, GF(7)):
+            sp = space(p, gauged(random.Random(229), constant_sheaf(p, ring, 2)))
+            c = core(sp)[0]
+            assert len(c.poset) == 1
+            sheaf_cohomology(c if core_first else sp)
+            assert sheaf_cohomology(sp).betti == (2, 0, 0) and sheaf_cohomology(c).betti == (2,)
+            assert c._cohomology.betti == (2,) and sp._cohomology is None
 
 
 class TestComplexValidation:

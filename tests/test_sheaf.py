@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_poset, random_sheaf, random_space
+from gen import random_poset, random_sheaf, random_space, rescaled
 from posheaf import sheaf as sheaf_module
 from posheaf.exact_linalg import GF, QQ, ZZ, Matrix, compose
 from posheaf.fixtures import four_point_circle, p5_poset
@@ -309,6 +309,23 @@ class TestRestrictionComposite:
                             left = f.restriction(u, v)
                             right = compose(f.restriction(m, v), f.restriction(u, m))
                             assert left == right
+
+    @pytest.mark.parametrize("ring", [GF(7), QQ], ids=["GF7", "Q"])
+    def test_cover_map_is_returned_as_it_is(self, ring):
+        """A cover's restriction is its own map, with no path walk and no
+        memo entry, on a gauged GF(7) space and a non-integral Q space."""
+        rng = random.Random(137)
+        p = random_poset(rng, 12, 0.3)
+        f = random_sheaf(rng, p, ring)
+        if ring == QQ:
+            f = rescaled(rng, SheavedSpace(p, f)).sheaf
+        assert len(p.covers) >= 10
+        if ring == QQ:
+            assert any(isinstance(x, Fraction) for m in f.cover_maps.values()
+                       for row in m.entries for x in row)
+        for cov in p.covers:
+            assert f.restriction(*cov) is f.cover_maps[cov]
+        assert f._composites == {}
 
     def test_long_composite(self):
         p = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])

@@ -3,9 +3,12 @@ that need only the library.
 
 `perfbench/spans.py` skips a traced name that no longer exists, so a
 rename would silently drop that layer's metrics from the traced run.
-Its `simplify.find_beats` metric counts on the one call a simplification
-run makes through that name; its `sheaf.restrict` metrics read 0 on the
-benchmark's workloads, whose removals never call `restrict`.
+Its `simplify.find_beats` metric counts on one call per space: the
+deterministic pipeline starts from the space's memoized core, and a
+later `core` of the same space is a memo hit.  A core keeps its
+cohomology, so the benchmark's batch builds one complex per distinct
+core.  Its `sheaf.restrict` metrics read 0 on the benchmark's
+workloads, whose removals never call `restrict`.
 """
 
 import contextlib
@@ -17,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from gen import zigzag_poset
 import posheaf.cli  # noqa: F401  (loads every module the tracer wraps)
-from posheaf import sheaf, simplify
-from posheaf.exact_linalg import QQ
+from posheaf import cohomology, sheaf, simplify
+from posheaf.exact_linalg import GF, QQ
 from posheaf.fixtures import circle_with_apex, p5_gadget
 from posheaf.sheaf import SheavedSpace, constant_sheaf
 
@@ -47,9 +51,10 @@ def test_every_traced_target_exists():
 
 @pytest.mark.parametrize("strategy", simplify.STRATEGIES)
 def test_find_beats_once_per_run_and_no_restrict(strategy, monkeypatch):
-    """A greedy run calls `find_beats` once; its removals, and those of
-    the replay, are made on a working subspace, so neither calls
-    `restrict`."""
+    """`find_beats` runs once per space: a greedy run on a fresh space
+    calls it once, and `core` after `simplify_pipeline` on the same
+    space, a memo hit, not at all.  The removals, and those of the
+    replay, are made on a working subspace, so none calls `restrict`."""
     calls = {"find_beats": 0, "restrict": 0}
 
     def counted(name, fn):
@@ -68,10 +73,40 @@ def test_find_beats_once_per_run_and_no_restrict(strategy, monkeypatch):
         _, trace = simplify.simplify_pipeline(sp, strategy)
         assert trace.steps
         assert calls == {"find_beats": 1, "restrict": 0}
+        _, trace = simplify.core(sp)
+        assert trace.steps
+        assert calls == {"find_beats": 1, "restrict": 0}
+        sp = SheavedSpace(p, constant_sheaf(p, QQ))
         calls.update(find_beats=0, restrict=0)
         _, trace = simplify.core(sp)
         assert trace.steps
         assert calls == {"find_beats": 1, "restrict": 0}
+
+
+def test_batch_builds_one_complex_per_core(monkeypatch):
+    """The `random-batch` sequence on one space (cohomology, the
+    acyclic-down pipeline, cohomology, `core`, cohomology) builds one
+    complex when the pass removes nothing, since the result is then the
+    core, and two when it removes something."""
+    complexes = []
+    field = cohomology.field_cohomology
+    monkeypatch.setattr(cohomology, "field_cohomology",
+                        lambda c: complexes.append(c) or field(c))
+    seen = set()
+    for p in (circle_with_apex(), p5_gadget(), zigzag_poset()):
+        for ring in (QQ, GF(7)):
+            sp = SheavedSpace(p, constant_sheaf(p, ring, 2))
+            complexes.clear()
+            cohomology.sheaf_cohomology(sp)
+            reduced, trace = simplify.simplify_pipeline(sp, "acyclic-down")
+            cohomology.sheaf_cohomology(reduced)
+            cored, _ = simplify.core(sp)
+            cohomology.sheaf_cohomology(cored)
+            removed = len(trace.steps) > len(simplify.core(sp)[1].steps)
+            assert (reduced is cored) != removed
+            assert len(complexes) == 1 + removed
+            seen.add(removed)
+    assert seen == {False, True}
 
 
 def test_readme_library_example_runs():
