@@ -267,21 +267,18 @@ def simplify_pipeline(
     rng: Optional[random.Random] = None,
 ) -> tuple[SheavedSpace, SimplificationTrace]:
     """Greedy removal loop: beats first, then the strategy's pass rules
-    (see STRATEGY_RULES), for any sheaf.  Without an `rng` the loop
-    starts from the memoized :func:`core` of `sp`, which is where its
-    beats lead, and the trace lists the core's steps first; if the pass
-    removes nothing, the result is the core itself.  The trace is
+    (see STRATEGY_RULES), for any sheaf.  The loop starts from the
+    :func:`core` of `sp` (the memoized one without an `rng`), which is
+    where its beats lead, and the trace lists the core's steps first; if
+    the pass removes nothing, the result is the core itself.  The trace is
     replayed from `sp` before returning (`ReplayError` if refused).
     """
     if strategy not in STRATEGY_RULES:
         raise SimplifyError(f"unknown strategy {strategy!r}")
     rules = STRATEGY_RULES[strategy]
-    if rng is None:
-        start, head = core(sp)
-        out, tail = _greedy(start, rules, None)
-        trace = SimplificationTrace(head.steps + tail.steps, sp, out)
-    else:
-        out, trace = _greedy(sp, rules, rng)
+    start, head = core(sp, rng)
+    out, tail = _greedy(start, rules, rng)
+    trace = SimplificationTrace(head.steps + tail.steps, sp, out)
     if trace.replay() != out:
         raise ReplayError("replay did not reproduce the result")
     return out, trace

@@ -480,9 +480,10 @@ def fresh_copy(sp):
 
 
 class TestPipelineStartsFromTheCore:
-    """Without a random order `simplify_pipeline` starts from the memoized
-    core and then makes its passes: it takes the steps, and reaches the
-    space, of the one greedy loop from a fresh copy of the input."""
+    """`simplify_pipeline` starts from the core (the memoized one without a
+    random order) and then makes its passes: it takes the steps, and
+    reaches the space, of the one greedy loop from a fresh copy of the
+    input, and with an `rng` it makes that loop's draws."""
 
     @staticmethod
     def spaces(seed):
@@ -522,6 +523,19 @@ class TestPipelineStartsFromTheCore:
             # the pass fires, and some of its removals leave a beat behind
             assert len(passes) >= 8
             assert any(step.rule in BEATS for t in passes for step in t)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_random_order(self, strategy):
+        passes = 0
+        for k, sp in enumerate(self.spaces(167)):
+            rules = STRATEGY_RULES[strategy]
+            ref_out, ref_trace = simplify_module._greedy(fresh_copy(sp), rules, random.Random(k))
+            out, trace = simplify_pipeline(sp, strategy, rng=random.Random(k))
+            assert trace.steps == ref_trace.steps and trace.initial is sp
+            assert out == ref_out and out.poset.elements == ref_out.poset.elements
+            assert sp._core is None or not find_beats(sp)
+            passes += any(step.rule not in BEATS for step in trace.steps)
+        assert (passes >= 8) == (strategy != "beats")
 
     @given(
         seed=st.integers(0, 10**6),
