@@ -5,16 +5,18 @@ complex is built on a beat core: sheaf cohomology on the core of the
 sheaved space, with the cellular complex if the core is a simplicial
 face poset and the Roos complex otherwise; integral homology on
 Stong's core of the poset (`simplify.poset_core`), the only part of
-the document that `homology` reads.  Every `simplify` strategy takes
-any sheaf.  A Z document is its poset with the constant sheaf
-(certified by integral homology), whose block a command ignores with
-a warning; `cohomology` refuses it.  Reports go to
-stdout as JSON, diagnostics to stderr.  Exit codes: 0 success, 1 usage
-(also an `--out` path that cannot be written), 2 parse/structure,
-3 commutativity (naming a pair u < v whose composites along two cover
-paths differ), 4 the replay refused the trace, 5 input too large: the
-order complex of a beat core that a command builds on has more than
-`poset.MAX_CHAINS` chains.
+the document that `homology` reads, with the core's own simplicial
+complex if it is a face poset and its order complex otherwise
+(`poset.simplicial_model`).  Every `simplify` strategy takes any
+sheaf.  A Z document is its poset with the constant sheaf (certified
+by integral homology), whose block a command ignores with a warning;
+`cohomology` refuses it.  Reports go to stdout as JSON, diagnostics to
+stderr.  Exit codes: 0 success, 1 usage (also an `--out` path that
+cannot be written), 2 parse/structure, 3 commutativity (naming a pair
+u < v whose composites along two cover paths differ), 4 the replay
+refused the trace, 5 input too large: the order complex of a beat core
+that a command builds on has more than `poset.MAX_CHAINS` chains (a
+core that is a simplicial face poset lists no chain).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .documents import (
     load_space,
     space_to_data,
 )
-from .poset import ChainCountError, order_complex
+from .poset import ChainCountError, simplicial_model
 from .sheaf import check_commutativity
 from .simplify import (
     STRATEGIES,
@@ -168,7 +170,7 @@ def cmd_homology(args) -> int:
     _warn_if_block_ignored(doc)
     poset = document_poset(doc)
     t0 = time.monotonic()
-    unred = integral_homology(order_complex(poset_core(poset)), reduced=False)
+    unred = integral_homology(simplicial_model(poset_core(poset)), reduced=False)
     red = reduce_homology(unred)
     report = {
         "generator": _generator(),
@@ -185,7 +187,7 @@ def cmd_homology(args) -> int:
 
 def _cohomology_for_certification(doc, sp) -> HomologyResult:
     if doc.field_tag == "Z":
-        return integral_homology(order_complex(core(sp)[0].poset), reduced=True)
+        return integral_homology(simplicial_model(core(sp)[0].poset), reduced=True)
     return sheaf_cohomology(sp)
 
 

@@ -6,10 +6,14 @@ On the face poset of a simplicial complex (recognised by
 :func:`~posheaf.poset.simplicial_vertices`) it is the cellular complex:
 each face contributes its stalk once.  On any other poset it is the Roos
 complex: each chain contributes the stalk at its top element.
-Simplicial cochain complexes of order complexes (built on Stong's
-core, :func:`~posheaf.simplify.poset_core`) give constant coefficients.  All
-three come from one routine, :func:`_assemble`.  Cohomology over a field
-comes from exact ranks, integral homology from Smith normal forms.
+Simplicial cochain complexes give constant coefficients, on any
+simplicial complex in the :class:`~posheaf.poset.OrderComplex`
+container: the library builds them on Stong's core
+(:func:`~posheaf.simplify.poset_core`), with that core's own simplicial
+complex if it is a face poset and its order complex otherwise
+(:func:`~posheaf.poset.simplicial_model`).  All three come from one
+routine, :func:`_assemble`.  Cohomology over a field comes from exact
+ranks, integral homology from Smith normal forms.
 
 Sign convention: the vertices of every chain are listed in poset order
 and the i-th face carries sign (-1)^i.  In the Roos differential only
@@ -228,18 +232,24 @@ def _longest_chain(p) -> int:
 
 
 def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:
-    """Constant-coefficient simplicial cochain complex of an order complex.
+    """Constant-coefficient cochain complex of a simplicial complex in
+    the :class:`~posheaf.poset.OrderComplex` container: an order complex,
+    or a complex of vertex tuples closed under faces.
 
     Row tau of d_j sends the face of tau that drops its i-th vertex (in
-    poset order) to (-1)^i, so d_j is the transpose of the boundary out
-    of degree j+1 and both compute the same Betti numbers over a field.
+    the tuple's order: poset order for a chain) to (-1)^i, so d_j is the
+    transpose of the boundary out of degree j+1 and both compute the
+    same Betti numbers over a field.
     """
     return _assemble(ring, k.simplices, lambda chain: 1, lambda tau: (
         (tau[:i] + tau[i + 1:], -1 if i % 2 else 1, None) for i in range(len(tau))))
 
 
 def integral_homology(k: OrderComplex, reduced: bool = True) -> HomologyResult:
-    """Integral homology of an order complex via Smith normal forms.
+    """Integral homology of a simplicial complex in the
+    :class:`~posheaf.poset.OrderComplex` container (an order complex, or
+    :func:`~posheaf.poset.simplicial_model` of a poset) via Smith normal
+    forms.
 
     The coboundary d_j is the transpose of the boundary into degree j,
     with the same invariant factors, so the torsion of H_j is that of
@@ -269,7 +279,9 @@ def reduce_homology(h: HomologyResult) -> HomologyResult:
 
 
 def is_acyclic(k: OrderComplex) -> bool:
-    """True iff k is nonempty with trivial reduced integral homology.
+    """True iff the simplicial complex k (any complex that
+    :func:`integral_homology` takes) is nonempty with trivial reduced
+    integral homology.
 
     The empty complex is deliberately not acyclic: "homology of a
     point" presupposes a point.

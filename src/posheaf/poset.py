@@ -20,8 +20,11 @@ A poset's core is that of its constant sheaf
 (:func:`posheaf.simplify.poset_core`).  The Moebius function
 (:meth:`Poset.mobius`) rejects acyclicity without linear algebra.
 :func:`simplicial_vertices` recognises the face poset of a simplicial
-complex.  :func:`order_complex` counts the chains before it lists them
-and refuses more than MAX_CHAINS.
+complex; :func:`simplicial_model` then returns that complex itself, on
+which integral homology is computed instead of on its barycentric
+subdivision, the order complex.
+:func:`order_complex` counts the chains before it lists them and
+refuses more than MAX_CHAINS.
 """
 
 from __future__ import annotations
@@ -404,6 +407,25 @@ def simplicial_vertices(p: Poset) -> Optional[dict]:
         seen.add(v)
         vertices[x] = v
     return vertices
+
+
+def simplicial_model(p: Poset) -> OrderComplex:
+    """A simplicial complex with the integral homology of p's order
+    complex, torsion included.
+
+    If :func:`simplicial_vertices` accepts p, this is p's own simplicial
+    complex, whose barycentric subdivision is the order complex: level j
+    lists the name-sorted vertex tuples of the elements with j + 1
+    vertices, one simplex per element rather than one per chain.
+    Otherwise it is :func:`order_complex`, with its chain budget.
+    """
+    vertices = simplicial_vertices(p)
+    if vertices is None:
+        return order_complex(p)
+    levels = [[] for _ in range(max(map(len, vertices.values())))]
+    for v in vertices.values():
+        levels[len(v) - 1].append(tuple(sorted(v)))
+    return OrderComplex(sorted(level) for level in levels)
 
 
 def _signature(p: Poset):

@@ -10,7 +10,9 @@ invertible.  Each predicate is valid for any sheaf, and `RULES` is the
 only beat test: a poset's core is that of its constant sheaf
 (:func:`poset_core`).  Acyclicity is decided in two steps: a nonzero
 Moebius value rejects, and the integral homology of the core of the
-down- or upset decides the rest.
+down- or upset decides the rest, computed on the core's own simplicial
+complex when it is a face poset
+(:func:`~posheaf.poset.simplicial_model`).
 
 Every removal loop (:func:`core`, :func:`simplify_pipeline`,
 :meth:`SimplificationTrace.replay`, :func:`find_beats`) runs on a working
@@ -31,7 +33,7 @@ from typing import Optional
 
 from .cohomology import is_acyclic
 from .exact_linalg import QQ, rank
-from .poset import Poset, induced_subposet, order_complex
+from .poset import Poset, induced_subposet, simplicial_model
 from .sheaf import SheavedSpace, _WorkingSubspace, constant_sheaf
 
 
@@ -51,7 +53,8 @@ ACYCLIC_UPSET = "acyclic-upset"
 
 def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
     """True iff the strict downset of s (upset if `dual`) has acyclic
-    order complex, decided on its core past the Moebius test.  Those
+    order complex, decided past the Moebius test on the
+    :func:`~posheaf.poset.simplicial_model` of its core.  Those
     verdicts are kept by element set on the poset, which shares
     them with every poset induced from it."""
     keep = p.strictly_above(s) if dual else p.strictly_below(s)
@@ -59,7 +62,7 @@ def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
         return False
     verdicts = p._acyclic
     if keep not in verdicts:
-        verdicts[keep] = is_acyclic(order_complex(poset_core(induced_subposet(p, keep))))
+        verdicts[keep] = is_acyclic(simplicial_model(poset_core(induced_subposet(p, keep))))
     return verdicts[keep]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from gen import random_poset, random_sheaf, random_space, rescaled
 from posheaf import __version__, cli
 from posheaf import cohomology as cohomology_module
+from posheaf import poset as poset_module
 from posheaf import sheaf as sheaf_module
 from posheaf import simplify as simplify_module
 from posheaf.cli import main
 from posheaf.cohomology import integral_homology, sheaf_cohomology
-from posheaf.documents import document_space, parse_space, space_to_data
+from posheaf.documents import document_space, dump_json, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.fixtures import (
     bing_house_poset,
@@ -26,7 +28,7 @@ from posheaf.fixtures import (
     four_point_circle,
     p5_gadget,
 )
-from posheaf.poset import build_poset, order_complex
+from posheaf.poset import MAX_CHAINS, build_poset, chain_count, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf, restrict
 from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep, poset_core
 from test_cohomology import RP2
@@ -68,6 +70,11 @@ def antichain_sum_doc(layers, field="GF:7"):
     layer = [[f"l{i:02d}{s}" for s in "ab"] for i in range(layers)]
     return {"field": field, "elements": [e for pair in layer for e in pair],
             "covers": [[u, v] for lo, hi in zip(layer, layer[1:]) for u in lo for v in hi]}
+
+
+def boundary_of_simplex(n):
+    """The face poset of the boundary of the simplex on n vertices."""
+    return face_poset(itertools.combinations([f"v{i}" for i in range(n)], n - 1))
 
 
 def with_block(stalks, maps, field="Q", elements=("a", "b"), covers=(("a", "b"),)):
@@ -319,6 +326,35 @@ class TestInputTooLarge:
         # 22 elements and 3^11 - 1 = 177,146 chains; nothing is removed
         path = write_doc(tmp_path, antichain_sum_doc(11, field))
         assert main([command[0], path, *command[1:]]) == 5
+        self.assert_refused(capsys)
+
+    def test_sphere_face_poset_lists_no_chain(self, tmp_path, capsys):
+        # the boundary of the 7-simplex: 254 faces, no beat, and more
+        # chains than the budget; integral homology takes its faces
+        p = boundary_of_simplex(8)
+        assert len(p) == 254 and poset_core(p) is p and chain_count(p) > MAX_CHAINS
+        path = write_doc(tmp_path, poset_doc(p, "Z"))
+        t0 = time.monotonic()
+        assert main(["homology", path]) == 0
+        assert time.monotonic() - t0 < 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["betti"] == [1, 0, 0, 0, 0, 0, 1] and report["torsion"] == []
+        assert report["reduced_betti"] == [0, 0, 0, 0, 0, 0, 1]
+        assert report["reduced_torsion"] == []
+        # the Z certification of core (reduced homology) builds on it too
+        assert main(["core", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["betti"] == [0, 0, 0, 0, 0, 0, 1] and report["torsion"] == []
+        assert report["sizes"] == {"before": 254, "after": 254}
+
+    def test_suspended_sphere_is_no_face_poset(self, tmp_path, capsys):
+        # two apexes over every facet: beat-free, no face poset, over budget
+        p = boundary_of_simplex(8)
+        tops = p.maximal_elements()
+        covers = p.covers | {(t, a) for t in tops for a in ("apexU", "apexV")}
+        q = build_poset(p.elements + ("apexU", "apexV"), covers)
+        assert poset_core(q) is q and chain_count(q) > MAX_CHAINS
+        assert main(["homology", write_doc(tmp_path, poset_doc(q, "Z"))]) == 5
         self.assert_refused(capsys)
 
     def test_core_collapses_long_chain(self, tmp_path, capsys):
@@ -952,6 +988,45 @@ def pinned_digests(tmp_path, capsys, name, command):
 @pytest.mark.parametrize("name, command", BYTE_STABLE, ids=[f"{n}-{c}" for n, c in BYTE_STABLE])
 def test_outputs_are_byte_stable(tmp_path, capsys, name, command):
     assert pinned_digests(tmp_path, capsys, name, command) == BYTE_STABLE[(name, command)]
+
+
+def test_acyclic_down_on_the_house_lists_no_chain(tmp_path, capsys, monkeypatch):
+    """The one acyclicity check on the house with apexes, and the closing
+    certification, build on simplicial face posets: with every order
+    complex refused, the trace, report and result are the same."""
+    monkeypatch.setattr(cli, "_ms", lambda t0: 0)
+    path = write_doc(tmp_path, BYTE_STABLE_DOCS["apexes-GF7"]())
+    argv = ["simplify", path, "--strategy", "acyclic-down", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out, (tmp_path / "out.json").read_bytes()
+
+    def refuse(p):
+        raise AssertionError("an order complex was built")
+
+    monkeypatch.setattr(poset_module, "order_complex", refuse)
+    monkeypatch.setattr(cohomology_module, "order_complex", refuse)
+    assert main(argv) == 0
+    assert (capsys.readouterr().out, (tmp_path / "out.json").read_bytes()) == expected
+    trace = json.loads(expected[0])["trace"]
+    assert trace == [{"removed": "apexU", "rule": "acyclic-downset"},
+                     {"removed": "apexV", "rule": "acyclic-downset"}]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40)
+
+
+@given(data=JSON_VALUES, shared=JSON_VALUES, repeats=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_dump_json_writes_the_bytes_of_json_dumps(data, shared, repeats):
+    """`dump_json` is `json.dumps(data, indent=2) + "\\n"`; `shared`
+    recurs as one object, at one depth and at another, as the map rows
+    of `space_to_data` do."""
+    for doc in (data, {"rows": [shared] * repeats, "deeper": {"rows": [shared]}, "data": data},
+                [[], {}, "", "\u00e9\u2603\U0001F600", "\"\\\n\t\x00", True, False, None]):
+        assert dump_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def repeated_literal_doc(literal, top_stalk=1):

@@ -37,7 +37,7 @@ from posheaf.fixtures import (
     p5_poset,
     simplicial_complex,
 )
-from posheaf.poset import build_poset, order_complex, simplicial_vertices
+from posheaf.poset import build_poset, order_complex, simplicial_model, simplicial_vertices
 from posheaf.sheaf import (
     SheavedSpace,
     constant_sheaf,
@@ -57,6 +57,17 @@ RP2 = [
 ]
 # its suspension: the Z/2 of H_1 moves to H_2
 SUSPENDED_RP2 = [t + (pole,) for t in RP2 for pole in ("n", "s")]
+
+
+def random_complexes():
+    """The facets of 300 seeded random complexes on up to 7 vertices."""
+    rng = random.Random(53)
+    for _ in range(300):
+        vertices = [str(v) for v in range(rng.randint(1, 7))]
+        yield [
+            tuple(rng.sample(vertices, rng.randint(1, min(len(vertices), 4))))
+            for _ in range(rng.randint(1, 8))
+        ]
 
 
 def space(p, f):
@@ -484,11 +495,41 @@ class TestUniversalCoefficients:
             self.check(k)
 
     def test_random_complexes(self):
-        rng = random.Random(53)
-        for _ in range(300):
-            vertices = [str(v) for v in range(rng.randint(1, 7))]
-            facets = [
-                tuple(rng.sample(vertices, rng.randint(1, min(len(vertices), 4))))
-                for _ in range(rng.randint(1, 8))
-            ]
+        for facets in random_complexes():
             self.check(simplicial_complex(facets))
+
+
+class TestSimplicialModel:
+    """Integral homology of a face poset on its own simplicial complex
+    equals that of its order complex, the barycentric subdivision (the
+    slow reference), torsion included, reduced or not."""
+
+    @staticmethod
+    def check(p):
+        for reduced in (True, False):
+            assert integral_homology(simplicial_model(p), reduced=reduced) == \
+                integral_homology(order_complex(p), reduced=reduced)
+
+    def test_random_complexes(self):
+        for facets in random_complexes():
+            self.check(face_poset(facets))
+
+    @pytest.mark.parametrize("facets, torsion", [
+        (RP2, ((), (2,))),
+        (SUSPENDED_RP2, ((), (), (2,))),
+    ], ids=["rp2", "suspended-rp2"])
+    def test_projective_plane_and_suspension(self, facets, torsion):
+        p = face_poset(facets)
+        self.check(p)
+        assert integral_homology(simplicial_model(p)).torsion_trimmed() == torsion
+
+    def test_house_is_acyclic_on_its_faces(self):
+        assert is_acyclic(simplicial_model(bing_house_poset()))
+
+    @given(facets=st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([str(v) for v in range(n)]),
+                 min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=8)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_face_posets(self, facets):
+        self.check(face_poset(facets))

@@ -5,14 +5,17 @@ from collections import Counter
 
 import pytest
 
-from gen import random_poset
+from gen import random_poset, zigzag_poset
 from posheaf import sheaf as sheaf_module
 from posheaf.fixtures import (
     bing_house_poset,
+    bing_house_with_apexes,
     circle_with_apex,
+    face_poset,
     four_point_circle,
     p5_gadget,
     p5_poset,
+    simplicial_complex,
 )
 from posheaf.poset import (
     MAX_CHAINS,
@@ -32,9 +35,11 @@ from posheaf.poset import (
     order_complex,
     posets_isomorphic,
     remove_element,
+    simplicial_model,
     upset,
 )
 from posheaf.simplify import poset_core
+from test_cohomology import RP2, SUSPENDED_RP2, random_complexes
 
 
 def chain(*names):
@@ -336,6 +341,48 @@ class TestOrderComplex:
             for s in level:
                 for u, v in zip(s, s[1:]):
                     assert leq(p, u, v) and u != v
+
+
+class TestSimplicialModel:
+    """A simplicial face poset gives back its own complex, vertex tuples
+    sorted by name, level j holding the faces with j + 1 vertices; any
+    other poset gives its order complex."""
+
+    @staticmethod
+    def check_round_trip(facets):
+        assert simplicial_model(face_poset(facets)).simplices == \
+            simplicial_complex(facets).simplices
+
+    def test_random_complexes(self):
+        for facets in random_complexes():
+            self.check_round_trip(facets)
+
+    @pytest.mark.parametrize("facets", [RP2, SUSPENDED_RP2], ids=["rp2", "suspended-rp2"])
+    def test_projective_plane_and_suspension(self, facets):
+        self.check_round_trip(facets)
+
+    def test_house_lists_faces_not_chains(self):
+        k = simplicial_model(bing_house_poset())
+        assert k.counts() == (60, 199, 140)
+        assert sum(k.counts()) == len(bing_house_poset())
+        assert sum(order_complex(bing_house_poset()).counts()) == 2477
+
+    @pytest.mark.parametrize("poset", [
+        zigzag_poset,
+        lambda: zigzag_poset(dual=True),
+        bing_house_with_apexes,
+        four_point_circle,
+        circle_with_apex,
+        lambda: build_poset([], []),
+    ], ids=["zigzag", "zigzag-dual", "house-with-apexes", "circle", "circle-with-apex", "empty"])
+    def test_any_other_poset_gives_its_order_complex(self, poset):
+        p = poset()
+        assert simplicial_model(p).simplices == order_complex(p).simplices
+
+    def test_any_other_poset_keeps_the_chain_budget(self):
+        names = [f"c{i:04d}" for i in range(17)]
+        with pytest.raises(ChainCountError):
+            simplicial_model(chain(*names))
 
 
 class TestRemove:
