@@ -36,6 +36,7 @@ from .cohomology import (
     is_acyclic,
     roos_complex,
     sheaf_cohomology,
+    sheaf_complex,
     simplicial_cochain_complex,
 )
 from .simplify import (

@@ -1,22 +1,22 @@
 """Command-line front end.
 
 Commands: validate, cohomology, homology, simplify, core.  Every
-complex is built on a beat core: sheaf cohomology on the core of the
-sheaved space, with the cellular complex if the core is a simplicial
-face poset and the Roos complex otherwise; integral homology on
-Stong's core of the poset (`simplify.poset_core`), the only part of
-the document that `homology` reads, with the core's own simplicial
-complex if it is a face poset and its order complex otherwise
-(`poset.simplicial_model`).  Every `simplify` strategy takes any
-sheaf.  A Z document is its poset with the constant sheaf (certified
-by integral homology), whose block a command ignores with a warning;
-`cohomology` refuses it.  Reports go to stdout as JSON, diagnostics to
-stderr.  Exit codes: 0 success, 1 usage (also an `--out` path that
-cannot be written), 2 parse/structure, 3 commutativity (naming a pair
-u < v whose composites along two cover paths differ), 4 the replay
-refused the trace, 5 input too large: the order complex of a beat core
-that a command builds on has more than `poset.MAX_CHAINS` chains (a
-core that is a simplicial face poset lists no chain).
+complex is built on `poset.simplicial_model` of a beat core: the core's
+own simplicial complex if it is a face poset, its order complex
+otherwise.  Sheaf cohomology takes the core of the sheaved space, each
+simplex carrying the stalk at its element (`cohomology.sheaf_complex`);
+integral homology takes Stong's core of the poset
+(`simplify.poset_core`), the only part of the document that `homology`
+reads.  Every `simplify` strategy takes any sheaf.  A Z document is
+its poset with the constant sheaf (certified by integral homology),
+whose block a command ignores with a warning; `cohomology` refuses it.
+Reports go to stdout as JSON, diagnostics to stderr.  Exit codes: 0
+success, 1 usage (also an `--out` path that cannot be written), 2
+parse/structure, 3 commutativity (naming a pair u < v whose composites
+along two cover paths differ), 4 the replay refused the trace, 5 input
+too large: the order complex of a beat core that a command builds on
+has more than `poset.MAX_CHAINS` chains (a core that is a simplicial
+face poset lists no chain).
 """
 
 from __future__ import annotations

@@ -1,26 +1,26 @@
 """Cochain complexes and exact (co)homology.
 
-Sheaf cohomology is computed on the beat core of the space, which has
-the same cohomology, from one of two complexes with that cohomology.
-On the face poset of a simplicial complex (recognised by
-:func:`~posheaf.poset.simplicial_vertices`) it is the cellular complex:
-each face contributes its stalk once.  On any other poset it is the Roos
-complex: each chain contributes the stalk at its top element.
-Simplicial cochain complexes give constant coefficients, on any
+Every complex is built by one routine, :func:`_assemble`, on a
 simplicial complex in the :class:`~posheaf.poset.OrderComplex`
-container: the library builds them on Stong's core
-(:func:`~posheaf.simplify.poset_core`), with that core's own simplicial
-complex if it is a face poset and its order complex otherwise
-(:func:`~posheaf.poset.simplicial_model`).  All three come from one
-routine, :func:`_assemble`.  Cohomology over a field comes from exact
-ranks, integral homology from Smith normal forms.
+container.  Sheaf cohomology is computed on the beat core of the space,
+which has the same cohomology, from :func:`sheaf_complex` on
+:func:`~posheaf.poset.simplicial_model` of the core: each simplex
+carries the stalk at the element it stands for.  On the face poset of a
+simplicial complex that is the core's own complex, and each face
+contributes its stalk once; on any other poset it is the order complex,
+and the result is the Roos complex (:func:`roos_complex`): each chain
+contributes the stalk at its top element.  Simplicial cochain complexes
+give constant coefficients: the library builds them on
+:func:`~posheaf.poset.simplicial_model` of Stong's core
+(:func:`~posheaf.simplify.poset_core`).  Cohomology over a field comes
+from exact ranks, integral homology from Smith normal forms.
 
-Sign convention: the vertices of every chain are listed in poset order
-and the i-th face carries sign (-1)^i.  In the Roos differential only
-the deleted-top face carries a restriction map; all other faces act by
-the identity.  In the cellular differential a face that lacks the
-vertex at position i (from 0) of the cell's name-sorted vertices carries
-(-1)^i times the cover map.
+Sign convention: the vertices of every simplex are listed in order
+(poset order for a chain, name order for a face) and the face without
+the i-th vertex carries sign (-1)^i.  A face acts by the restriction
+map between the two elements that it and its simplex stand for, and by
+the identity where they are one element: in the Roos differential only
+the deleted-top face carries a restriction map.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exact_linalg import ZZ, Matrix, compose, rank, smith_normal_form
-from .poset import OrderComplex, order_complex, simplicial_vertices
+from .poset import OrderComplex, order_complex, simplicial_model
 from .sheaf import SheavedSpace, require_commutative
 
 
@@ -94,16 +94,17 @@ class HomologyResult(namedtuple("HomologyResult", "betti torsion", defaults=((),
         return not self.betti_trimmed() and not self.torsion_trimmed()
 
 
-def _assemble(ring, levels, dim, faces) -> CochainComplex:
+def _assemble(ring, levels, dim, block) -> CochainComplex:
     """The cochain complex over `ring` whose C^j sums a summand of
-    dimension `dim(cell)` over the cells of `levels[j]`, in their order.
+    dimension `dim(simplex)` over the simplices of `levels[j]`, in their
+    order.
 
-    `faces(tau)` lists (sigma, sign, m) for the faces sigma of tau one
-    level down: the block of d at (tau, sigma) is sign * m, or sign
-    times the identity when m is None (sigma's summand is then tau's).
+    The block of d at (tau, sigma), where sigma is tau without its i-th
+    vertex, is (-1)^i times `block(sigma, tau)`, or (-1)^i times the
+    identity when that is None (sigma's summand is then tau's).
     """
     degrees = []
-    offsets = []  # per level: cell -> first coordinate
+    offsets = []  # per level: simplex -> first coordinate
     for level in levels:
         off = {}
         total = 0
@@ -118,9 +119,12 @@ def _assemble(ring, levels, dim, faces) -> CochainComplex:
         s_offsets = offsets[j]
         for tau, t_off in offsets[j + 1].items():
             size = dim(tau)
-            # the faces are distinct cells, so their column blocks are disjoint
-            for sigma, sign, m in faces(tau):
+            # the faces are distinct simplices, so their column blocks are disjoint
+            for i in range(j + 2):
+                sigma = tau[:i] + tau[i + 1:]
+                sign = -1 if i % 2 else 1
                 s_off = s_offsets[sigma]
+                m = block(sigma, tau)
                 if m is not None:
                     for r, mrow in enumerate(m.sparse, t_off):
                         row = rows[r]
@@ -135,52 +139,32 @@ def _assemble(ring, levels, dim, faces) -> CochainComplex:
     return CochainComplex(degrees, diffs)
 
 
+def sheaf_complex(sp: SheavedSpace, k: OrderComplex) -> CochainComplex:
+    """The cochain complex of the sheaf of `sp` on a simplicial model k
+    of its poset: :func:`~posheaf.poset.order_complex` or
+    :func:`~posheaf.poset.simplicial_model`.
+
+    C^j sums, over the j-simplices of k, the stalk at the element that
+    each stands for (:attr:`~posheaf.poset.OrderComplex.element`).  The
+    block of d at a face sigma of tau is the restriction from sigma's
+    element to tau's, the identity where the two are one element.
+    """
+    f = sp.sheaf
+    require_commutative(f)
+    element, dims, restriction = k.element, f.stalk_dim, f.restriction
+
+    def block(sigma, tau):
+        x, y = element(sigma), element(tau)
+        return None if x == y else restriction(x, y)
+
+    return _assemble(f.ring, k.simplices, lambda s: dims[element(s)], block)
+
+
 def roos_complex(sp: SheavedSpace) -> CochainComplex:
-    """The Roos cochain complex of a sheaved space.
-
-    C^j is the direct sum, over chains of j+1 elements, of the stalk at
-    the chain's maximum.  The component of the differential at a longer
-    chain tau sums the faces of tau with alternating signs; dropping the
-    top element composes with the restriction map up to tau's top,
-    every other face keeps the stalk and acts by the identity.
-    """
-    f = sp.sheaf
-    require_commutative(f)
-
-    def faces(tau):
-        last = len(tau) - 1
-        for i in range(last):
-            yield tau[:i] + tau[i + 1:], -1 if i % 2 else 1, None
-        yield tau[:last], -1 if last % 2 else 1, f.restriction(tau[last - 1], tau[last])
-
-    dims = f.stalk_dim
-    return _assemble(f.ring, order_complex(sp.poset).simplices, lambda c: dims[c[-1]], faces)
-
-
-def cellular_complex(sp: SheavedSpace, vertices: dict) -> CochainComplex:
-    """The cellular cochain complex of a sheaf on a simplicial face poset.
-
-    `vertices` is :func:`~posheaf.poset.simplicial_vertices` of the
-    poset.  C^j sums the stalks over the j-faces (j+1 vertices), sorted
-    by name.  The block of d at a cover sigma < tau is (-1)^i times the
-    cover map, where sigma lacks the vertex at position i (from 0) of
-    tau's vertices in name order.
-    """
-    f = sp.sheaf
-    require_commutative(f)
-    p = sp.poset
-    levels = [[] for _ in range(max(map(len, vertices.values())))]
-    for x in sorted(p.elements):
-        levels[len(vertices[x]) - 1].append(x)
-
-    def faces(tau):
-        names = sorted(vertices[tau])
-        for sigma in p.lower_covers(tau):
-            (lacking,) = vertices[tau] - vertices[sigma]
-            i = names.index(lacking)
-            yield sigma, -1 if i % 2 else 1, f.cover_maps[(sigma, tau)]
-
-    return _assemble(f.ring, levels, f.stalk_dim.__getitem__, faces)
+    """The Roos cochain complex, :func:`sheaf_complex` on the order
+    complex: C^j sums the stalks at the tops of the chains of j+1
+    elements, and only the face without the top acts by a restriction."""
+    return sheaf_complex(sp, order_complex(sp.poset))
 
 
 def _betti(degrees, ranks) -> tuple[int, ...]:
@@ -201,9 +185,10 @@ def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
     """Sheaf cohomology (unreduced), computed on the beat core.
 
     Removing a beat keeps sheaf cohomology, so the complex is built only
-    for :func:`~posheaf.simplify.core` of the space: the cellular complex
-    if the core is a simplicial face poset, the Roos complex otherwise.
-    The core keeps that result, so every space with the same core object
+    for :func:`~posheaf.simplify.core` of the space, on
+    :func:`~posheaf.poset.simplicial_model` of the core: one summand per
+    face if the core is a simplicial face poset, the Roos complex
+    otherwise.  The core keeps that result, so every space with the same core object
     shares one complex.  The result has one degree per element of a
     longest chain of the input, as the input's own complex would; the
     chain budget (:class:`~posheaf.poset.ChainCountError`) applies to
@@ -214,8 +199,7 @@ def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
     reduced, trace = core(sp)
     h = reduced._cohomology
     if h is None:
-        vertices = simplicial_vertices(reduced.poset)
-        c = roos_complex(reduced) if vertices is None else cellular_complex(reduced, vertices)
+        c = sheaf_complex(reduced, simplicial_model(reduced.poset))
         h = reduced._cohomology = field_cohomology(c)
     if not trace.steps:
         return h
@@ -241,8 +225,7 @@ def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:
     transpose of the boundary out of degree j+1 and both compute the
     same Betti numbers over a field.
     """
-    return _assemble(ring, k.simplices, lambda chain: 1, lambda tau: (
-        (tau[:i] + tau[i + 1:], -1 if i % 2 else 1, None) for i in range(len(tau))))
+    return _assemble(ring, k.simplices, lambda s: 1, lambda sigma, tau: None)
 
 
 def integral_homology(k: OrderComplex, reduced: bool = True) -> HomologyResult:

@@ -19,10 +19,10 @@ for one element; the working subspace of :mod:`posheaf.sheaf` calls
 A poset's core is that of its constant sheaf
 (:func:`posheaf.simplify.poset_core`).  The Moebius function
 (:meth:`Poset.mobius`) rejects acyclicity without linear algebra.
-:func:`simplicial_vertices` recognises the face poset of a simplicial
-complex; :func:`simplicial_model` then returns that complex itself, on
-which integral homology is computed instead of on its barycentric
-subdivision, the order complex.
+:func:`simplicial_model` chooses the complex that all (co)homology is
+built on: a face poset's own simplicial complex (recognised by
+:func:`simplicial_vertices`), else the order complex, its barycentric
+subdivision.  Each simplex stands for an element (`OrderComplex.element`).
 :func:`order_complex` counts the chains before it lists them and
 refuses more than MAX_CHAINS.
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from operator import itemgetter
 from typing import Hashable, Iterable, Optional, Sequence
 
 
@@ -327,12 +328,16 @@ class OrderComplex:
 
     `simplices[k]` lists the k-dimensional simplices (chains of k+1
     elements), each as a tuple increasing in the poset order.
+    `element(simplex)` is the poset element that a simplex stands for:
+    the top of a chain, or the face itself in a face poset's own
+    complex (:func:`simplicial_model`).
     """
 
-    __slots__ = ("simplices",)
+    __slots__ = ("simplices", "element")
 
     def __init__(self, simplices: Sequence[Sequence[tuple]]):
         self.simplices = tuple(tuple(level) for level in simplices)
+        self.element = itemgetter(-1)
 
     @property
     def vertex_count(self) -> int:
@@ -410,22 +415,27 @@ def simplicial_vertices(p: Poset) -> Optional[dict]:
 
 
 def simplicial_model(p: Poset) -> OrderComplex:
-    """A simplicial complex with the integral homology of p's order
-    complex, torsion included.
+    """The complex that every (co)homology of p is built on: it has the
+    integral homology of p's order complex, torsion included, and a
+    sheaf on p has the cohomology of its stalks there.
 
     If :func:`simplicial_vertices` accepts p, this is p's own simplicial
     complex, whose barycentric subdivision is the order complex: level j
     lists the name-sorted vertex tuples of the elements with j + 1
-    vertices, one simplex per element rather than one per chain.
-    Otherwise it is :func:`order_complex`, with its chain budget.
+    vertices, one simplex per element rather than one per chain, and
+    each stands for its element.  Otherwise it is :func:`order_complex`,
+    with its chain budget, whose chains stand for their tops.
     """
     vertices = simplicial_vertices(p)
     if vertices is None:
         return order_complex(p)
-    levels = [[] for _ in range(max(map(len, vertices.values())))]
-    for v in vertices.values():
-        levels[len(v) - 1].append(tuple(sorted(v)))
-    return OrderComplex(sorted(level) for level in levels)
+    faces = {tuple(sorted(v)): x for x, v in vertices.items()}
+    levels = [[] for _ in range(max(map(len, faces)))]
+    for face in sorted(faces):
+        levels[len(face) - 1].append(face)
+    k = OrderComplex(levels)
+    k.element = faces.__getitem__
+    return k
 
 
 def _signature(p: Poset):

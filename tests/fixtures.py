@@ -1,4 +1,4 @@
-"""Built-in example spaces.
+"""Example spaces for the tests.
 
 The 4-point circle (minimal finite model of S^1), the path gadget whose
 apex is removable by downset acyclicity but is not a beat, and a
@@ -9,7 +9,7 @@ non-beat vertices.
 
 from __future__ import annotations
 
-from .poset import OrderComplex, Poset, build_poset
+from posheaf.poset import OrderComplex, Poset, build_poset
 
 
 def four_point_circle() -> Poset:

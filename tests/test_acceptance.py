@@ -14,6 +14,14 @@ import random
 
 import pytest
 
+from fixtures import (
+    bing_house_triangles,
+    bing_house_with_apexes,
+    circle_with_apex,
+    four_point_circle,
+    p5_gadget,
+    simplicial_complex,
+)
 from gen import random_ideal, random_poset, random_sheaf
 from posheaf.cli import main
 from posheaf.cohomology import (
@@ -26,14 +34,6 @@ from posheaf.cohomology import (
 )
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ
-from posheaf.fixtures import (
-    bing_house_triangles,
-    bing_house_with_apexes,
-    circle_with_apex,
-    four_point_circle,
-    p5_gadget,
-    simplicial_complex,
-)
 from posheaf.poset import build_poset, order_complex, posets_isomorphic, remove_element
 from posheaf.sheaf import (
     SheavedSpace,

@@ -10,6 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import (
+    bing_house_poset,
+    bing_house_with_apexes,
+    circle_with_apex,
+    face_poset,
+    four_point_circle,
+    p5_gadget,
+)
 from gen import random_poset, random_sheaf, random_space, rescaled
 from posheaf import __version__, cli
 from posheaf import cohomology as cohomology_module
@@ -20,14 +28,6 @@ from posheaf.cli import main
 from posheaf.cohomology import integral_homology, sheaf_cohomology
 from posheaf.documents import document_space, dump_json, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
-from posheaf.fixtures import (
-    bing_house_poset,
-    bing_house_with_apexes,
-    circle_with_apex,
-    face_poset,
-    four_point_circle,
-    p5_gadget,
-)
 from posheaf.poset import MAX_CHAINS, build_poset, chain_count, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf, restrict
 from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep, poset_core
@@ -241,11 +241,12 @@ class TestCohomology:
     def test_roos_only_off_face_posets(self, tmp_path, capsys, monkeypatch,
                                        command, field, poset):
         # the house is a simplicial face poset; with its apexes it is not,
-        # but simplify computes cohomology only after removing them
+        # but simplify computes cohomology only after removing them, so
+        # no chain is listed
         built = []
-        roos = cohomology_module.roos_complex
-        monkeypatch.setattr(cohomology_module, "roos_complex",
-                            lambda sp: built.append(sp) or roos(sp))
+        listed = poset_module.order_complex
+        monkeypatch.setattr(poset_module, "order_complex",
+                            lambda p: built.append(p) or listed(p))
         monkeypatch.setattr(cli, "_ms", lambda t0: 0)
         path = write_doc(tmp_path, poset_doc(poset(), field))
         assert main([command[0], path, *command[1:]]) == 0

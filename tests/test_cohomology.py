@@ -13,21 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import gauged, gauged_suite, random_poset, random_sheaf, rescaled
-from posheaf import cohomology as cohomology_module
-from posheaf.cohomology import (
-    CochainComplex,
-    ComplexError,
-    cellular_complex,
-    field_cohomology,
-    integral_homology,
-    is_acyclic,
-    roos_complex,
-    sheaf_cohomology,
-    simplicial_cochain_complex,
-)
-from posheaf.exact_linalg import GF, QQ, Matrix
-from posheaf.fixtures import (
+from fixtures import (
     bing_house_poset,
     bing_house_with_apexes,
     circle_with_apex,
@@ -37,6 +23,20 @@ from posheaf.fixtures import (
     p5_poset,
     simplicial_complex,
 )
+from gen import gauged, gauged_suite, random_poset, random_sheaf, rescaled
+from posheaf import cohomology as cohomology_module
+from posheaf.cohomology import (
+    CochainComplex,
+    ComplexError,
+    field_cohomology,
+    integral_homology,
+    is_acyclic,
+    roos_complex,
+    sheaf_cohomology,
+    sheaf_complex,
+    simplicial_cochain_complex,
+)
+from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.poset import build_poset, order_complex, simplicial_model, simplicial_vertices
 from posheaf.sheaf import (
     SheavedSpace,
@@ -164,12 +164,19 @@ def random_facets(rng):
             for _ in range(rng.randint(1, 8))]
 
 
-def check_cellular_against_roos(p, f):
-    """The cellular route agrees with the Roos complex, degree for degree."""
-    sp = space(p, f)
+def random_face_space(rng, p, ring):
+    """A gauged random sheaf on p, rescaled to non-integral maps over Q."""
+    sp = space(p, random_sheaf(rng, p, ring))
+    return rescaled(rng, sp) if ring == QQ else sp
+
+
+def check_cellular_against_roos(sp):
+    """The cellular complex, the sheaf's complex on the face poset's own
+    simplicial complex, agrees with the Roos complex, degree for degree."""
+    p, f = sp.poset, sp.sheaf
     vertices = simplicial_vertices(p)
     assert vertices is not None
-    cellular = cellular_complex(sp, vertices)
+    cellular = sheaf_complex(sp, simplicial_model(p))
     assert cellular.degrees == tuple(
         sum(f.stalk_dim[x] for x in p.elements if len(vertices[x]) == j + 1)
         for j in range(len(cellular.degrees)))
@@ -210,12 +217,12 @@ class TestCellularRoute:
         rng = random.Random(61)
         for _ in range(120):
             p = face_poset(random_facets(rng))
-            check_cellular_against_roos(p, random_sheaf(rng, p, rng.choice([QQ, GF(2), GF(7)])))
+            check_cellular_against_roos(random_face_space(rng, p, rng.choice([QQ, GF(2), GF(7)])))
 
     def test_house_random_sheaf(self):
         rng = random.Random(67)
         p = bing_house_poset()
-        check_cellular_against_roos(p, random_sheaf(rng, p, GF(7)))
+        check_cellular_against_roos(space(p, random_sheaf(rng, p, GF(7))))
 
     @given(
         facets=st.integers(3, 7).flatmap(lambda n: st.lists(
@@ -228,7 +235,7 @@ class TestCellularRoute:
     @settings(max_examples=80, deadline=None)
     def test_random_gauged_sheaves(self, facets, seed, ring):
         p = face_poset(facets)
-        check_cellular_against_roos(p, random_sheaf(random.Random(seed), p, ring))
+        check_cellular_against_roos(random_face_space(random.Random(seed), p, ring))
 
 
 def unreduced(sp):

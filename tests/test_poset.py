@@ -5,9 +5,7 @@ from collections import Counter
 
 import pytest
 
-from gen import random_poset, zigzag_poset
-from posheaf import sheaf as sheaf_module
-from posheaf.fixtures import (
+from fixtures import (
     bing_house_poset,
     bing_house_with_apexes,
     circle_with_apex,
@@ -17,6 +15,8 @@ from posheaf.fixtures import (
     p5_poset,
     simplicial_complex,
 )
+from gen import random_poset, zigzag_poset
+from posheaf import sheaf as sheaf_module
 from posheaf.poset import (
     MAX_CHAINS,
     ChainCountError,
@@ -366,6 +366,9 @@ class TestSimplicialModel:
         assert k.counts() == (60, 199, 140)
         assert sum(k.counts()) == len(bing_house_poset())
         assert sum(order_complex(bing_house_poset()).counts()) == 2477
+        # each face tuple stands for the element with those vertices
+        assert {k.element(face): set(face) for level in k.simplices for face in level} == \
+            {x: set(x.split("|")) for x in bing_house_poset().elements}
 
     @pytest.mark.parametrize("poset", [
         zigzag_poset,
@@ -377,7 +380,11 @@ class TestSimplicialModel:
     ], ids=["zigzag", "zigzag-dual", "house-with-apexes", "circle", "circle-with-apex", "empty"])
     def test_any_other_poset_gives_its_order_complex(self, poset):
         p = poset()
-        assert simplicial_model(p).simplices == order_complex(p).simplices
+        k = simplicial_model(p)
+        assert k.simplices == order_complex(p).simplices
+        # each chain stands for its top element
+        assert all(k.element(c) in c and set(c) - {k.element(c)} <= p.strictly_below(k.element(c))
+                   for level in k.simplices for c in level)
 
     def test_any_other_poset_keeps_the_chain_budget(self):
         names = [f"c{i:04d}" for i in range(17)]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import four_point_circle, p5_poset
 from gen import random_poset, random_sheaf, random_space, rescaled
 from posheaf import sheaf as sheaf_module
 from posheaf.exact_linalg import GF, QQ, ZZ, Matrix, compose
-from posheaf.fixtures import four_point_circle, p5_poset
 from posheaf.poset import Poset, build_poset, downset, leq
 from posheaf.sheaf import (
     CommutativityError,

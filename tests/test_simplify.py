@@ -4,6 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import (
+    bing_house_with_apexes,
+    circle_with_apex,
+    four_point_circle,
+    p5_gadget,
+)
 from gen import (
     gauged,
     gauged_suite,
@@ -25,12 +31,6 @@ from posheaf.cohomology import (
 )
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
-from posheaf.fixtures import (
-    bing_house_with_apexes,
-    circle_with_apex,
-    four_point_circle,
-    p5_gadget,
-)
 from posheaf.poset import (
     build_poset,
     downset,

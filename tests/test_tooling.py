@@ -8,7 +8,12 @@ deterministic pipeline starts from the space's memoized core, and a
 later `core` of the same space is a memo hit.  A core keeps its
 cohomology, so the benchmark's batch builds one complex per distinct
 core.  Its `sheaf.restrict` metrics read 0 on the benchmark's
-workloads, whose removals never call `restrict`.
+workloads, whose removals never call `restrict`.  Its
+`cohomology.roos_build_s` and `cohomology.cochain_dim` wrap
+`roos_complex` only, which the library itself no longer calls:
+`sheaf_cohomology` builds `sheaf_complex` on `simplicial_model` of the
+core, so they count explicit `roos_complex` calls and read 0 on every
+workload.
 """
 
 import contextlib
@@ -20,11 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import circle_with_apex, p5_gadget
 from gen import zigzag_poset
 import posheaf.cli  # noqa: F401  (loads every module the tracer wraps)
 from posheaf import cohomology, sheaf, simplify
 from posheaf.exact_linalg import GF, QQ
-from posheaf.fixtures import circle_with_apex, p5_gadget
 from posheaf.sheaf import SheavedSpace, constant_sheaf
 
 ROOT = Path(__file__).resolve().parent.parent
