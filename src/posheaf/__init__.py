@@ -34,6 +34,7 @@ from .cohomology import (
     field_cohomology,
     integral_homology,
     is_acyclic,
+    reduce_homology,
     roos_complex,
     sheaf_cohomology,
     sheaf_complex,

@@ -5,9 +5,9 @@ complex is built on `poset.simplicial_model` of a beat core: the core's
 own simplicial complex if it is a face poset, its order complex
 otherwise.  Sheaf cohomology takes the core of the sheaved space, each
 simplex carrying the stalk at its element (`cohomology.sheaf_complex`);
-integral homology takes Stong's core of the poset
-(`simplify.poset_core`), the only part of the document that `homology`
-reads.  Every `simplify` strategy takes any sheaf.  A Z document is
+integral homology (`homology`, the Z certification) takes Stong's core
+of the poset, `simplify.poset_model`; `homology` reads only the poset.
+Every `simplify` strategy takes any sheaf.  A Z document is
 its poset with the constant sheaf (certified by integral homology),
 whose block a command ignores with a warning; `cohomology` refuses it.
 Reports go to stdout as JSON, diagnostics to stderr.  Exit codes: 0
@@ -41,14 +41,13 @@ from .documents import (
     load_space,
     space_to_data,
 )
-from .poset import ChainCountError, simplicial_model
+from .poset import ChainCountError
 from .sheaf import check_commutativity
 from .simplify import (
     STRATEGIES,
     STRATEGY_BEATS,
     ReplayError,
-    core,
-    poset_core,
+    poset_model,
     simplify_pipeline,
 )
 
@@ -170,7 +169,7 @@ def cmd_homology(args) -> int:
     _warn_if_block_ignored(doc)
     poset = document_poset(doc)
     t0 = time.monotonic()
-    unred = integral_homology(simplicial_model(poset_core(poset)), reduced=False)
+    unred = integral_homology(poset_model(poset))
     red = reduce_homology(unred)
     report = {
         "generator": _generator(),
@@ -187,7 +186,7 @@ def cmd_homology(args) -> int:
 
 def _cohomology_for_certification(doc, sp) -> HomologyResult:
     if doc.field_tag == "Z":
-        return integral_homology(simplicial_model(core(sp)[0].poset), reduced=True)
+        return reduce_homology(integral_homology(poset_model(sp.poset)))
     return sheaf_cohomology(sp)
 
 

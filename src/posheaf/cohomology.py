@@ -11,9 +11,10 @@ contributes its stalk once; on any other poset it is the order complex,
 and the result is the Roos complex (:func:`roos_complex`): each chain
 contributes the stalk at its top element.  Simplicial cochain complexes
 give constant coefficients: the library builds them on
-:func:`~posheaf.poset.simplicial_model` of Stong's core
-(:func:`~posheaf.simplify.poset_core`).  Cohomology over a field comes
-from exact ranks, integral homology from Smith normal forms.
+:func:`~posheaf.simplify.poset_model`, the simplicial model of Stong's
+core.  Cohomology over a field comes from exact ranks (a field result
+has no torsion), integral homology from Smith normal forms, unreduced;
+:func:`reduce_homology` is the one way to reduce it.
 
 Sign convention: the vertices of every simplex are listed in order
 (poset order for a chain, name order for a face) and the face without
@@ -67,7 +68,7 @@ class CochainComplex:
 
 class HomologyResult(namedtuple("HomologyResult", "betti torsion", defaults=((),))):
     """Per-degree Betti numbers (`betti`), plus torsion coefficients over
-    Z (`torsion`, one tuple per degree; empty by default)."""
+    Z (`torsion`, one tuple per degree); a field result has none."""
 
     __slots__ = ()
 
@@ -177,8 +178,7 @@ def _betti(degrees, ranks) -> tuple[int, ...]:
 
 def field_cohomology(c: CochainComplex) -> HomologyResult:
     """Betti numbers of a field-coefficient cochain complex, trusting d.d = 0."""
-    betti = _betti(c.degrees, [rank(d) for d in c.differentials])
-    return HomologyResult(betti, ((),) * len(betti))
+    return HomologyResult(_betti(c.degrees, [rank(d) for d in c.differentials]))
 
 
 def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
@@ -204,7 +204,7 @@ def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
     if not trace.steps:
         return h
     pad = _longest_chain(sp.poset) - len(h.betti)
-    return HomologyResult(h.betti + (0,) * pad, h.torsion + ((),) * pad)
+    return HomologyResult(h.betti + (0,) * pad)
 
 
 def _longest_chain(p) -> int:
@@ -228,33 +228,30 @@ def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:
     return _assemble(ring, k.simplices, lambda s: 1, lambda sigma, tau: None)
 
 
-def integral_homology(k: OrderComplex, reduced: bool = True) -> HomologyResult:
-    """Integral homology of a simplicial complex in the
+def integral_homology(k: OrderComplex) -> HomologyResult:
+    """Unreduced integral homology of a simplicial complex in the
     :class:`~posheaf.poset.OrderComplex` container (an order complex, or
     :func:`~posheaf.poset.simplicial_model` of a poset) via Smith normal
-    forms.
+    forms; :func:`reduce_homology` reduces it.
 
     The coboundary d_j is the transpose of the boundary into degree j,
     with the same invariant factors, so the torsion of H_j is that of
-    d_j.  H_0 is free, so reduced homology (the default) only removes
-    one Z from it: acyclic complexes report all groups zero.  The empty
-    complex reports a single degree with Betti 0 but is never acyclic
-    (see :func:`is_acyclic`).
+    d_j.  The empty complex reports a single degree with Betti 0 but is
+    never acyclic (see :func:`is_acyclic`).
     """
     if k.vertex_count == 0:
         return HomologyResult((0,), ((),))
     c = simplicial_cochain_complex(k, ZZ)
     forms = [smith_normal_form(d) for d in c.differentials]
-    h = HomologyResult(_betti(c.degrees, [f.rank for f in forms]),
-                       tuple(f.torsion for f in forms) + ((),))
-    return reduce_homology(h) if reduced else h
+    return HomologyResult(_betti(c.degrees, [f.rank for f in forms]),
+                          tuple(f.torsion for f in forms) + ((),))
 
 
 def reduce_homology(h: HomologyResult) -> HomologyResult:
-    """Reduced from unreduced integral homology: one Z less in H_0.
+    """Reduced from unreduced integral homology: one Z less in H_0, so
+    that acyclic complexes report all groups zero (H_0 is free).
 
-    The empty complex (H_0 = 0) keeps its result, as in
-    :func:`integral_homology`.
+    The empty complex (H_0 = 0) keeps its result.
     """
     if not h.betti[0]:
         return h
@@ -269,6 +266,4 @@ def is_acyclic(k: OrderComplex) -> bool:
     The empty complex is deliberately not acyclic: "homology of a
     point" presupposes a point.
     """
-    if k.vertex_count == 0:
-        return False
-    return integral_homology(k).is_trivial()
+    return k.vertex_count > 0 and reduce_homology(integral_homology(k)).is_trivial()

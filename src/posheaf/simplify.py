@@ -9,10 +9,9 @@ strict upset when every cover map on or above the element is
 invertible.  Each predicate is valid for any sheaf, and `RULES` is the
 only beat test: a poset's core is that of its constant sheaf
 (:func:`poset_core`).  Acyclicity is decided in two steps: a nonzero
-Moebius value rejects, and the integral homology of the core of the
-down- or upset decides the rest, computed on the core's own simplicial
-complex when it is a face poset
-(:func:`~posheaf.poset.simplicial_model`).
+Moebius value rejects, and the integral homology of :func:`poset_model`
+of the down- or upset, the one route to a poset's integral homology,
+decides the rest.
 
 Every removal loop (:func:`core`, :func:`simplify_pipeline`,
 :meth:`SimplificationTrace.replay`, :func:`find_beats`) runs on a working
@@ -33,7 +32,7 @@ from typing import Optional
 
 from .cohomology import is_acyclic
 from .exact_linalg import QQ, rank
-from .poset import Poset, induced_subposet, simplicial_model
+from .poset import OrderComplex, Poset, induced_subposet, simplicial_model
 from .sheaf import SheavedSpace, _WorkingSubspace, constant_sheaf
 
 
@@ -53,16 +52,15 @@ ACYCLIC_UPSET = "acyclic-upset"
 
 def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
     """True iff the strict downset of s (upset if `dual`) has acyclic
-    order complex, decided past the Moebius test on the
-    :func:`~posheaf.poset.simplicial_model` of its core.  Those
-    verdicts are kept by element set on the poset, which shares
-    them with every poset induced from it."""
+    order complex, decided past the Moebius test on its
+    :func:`poset_model`.  Those verdicts are kept by element set on the
+    poset, which shares them with every poset induced from it."""
     keep = p.strictly_above(s) if dual else p.strictly_below(s)
     if p.mobius(dual)[s]:
         return False
     verdicts = p._acyclic
     if keep not in verdicts:
-        verdicts[keep] = is_acyclic(simplicial_model(poset_core(induced_subposet(p, keep))))
+        verdicts[keep] = is_acyclic(poset_model(induced_subposet(p, keep)))
     return verdicts[keep]
 
 
@@ -262,6 +260,12 @@ def poset_core(p: Poset) -> Poset:
     constant sheaf, whose maps are identities, so that its beats are p's
     beat points.  It shares p's acyclicity verdicts; p if p has no beat."""
     return core(SheavedSpace(p, constant_sheaf(p, QQ)))[0].poset
+
+
+def poset_model(p: Poset) -> OrderComplex:
+    """The complex that p's integral homology is computed on, here and in
+    the CLI: :func:`~posheaf.poset.simplicial_model` of :func:`poset_core`."""
+    return simplicial_model(poset_core(p))
 
 
 def simplify_pipeline(

@@ -25,7 +25,7 @@ from posheaf import poset as poset_module
 from posheaf import sheaf as sheaf_module
 from posheaf import simplify as simplify_module
 from posheaf.cli import main
-from posheaf.cohomology import integral_homology, sheaf_cohomology
+from posheaf.cohomology import integral_homology, reduce_homology, sheaf_cohomology
 from posheaf.documents import document_space, dump_json, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
 from posheaf.poset import MAX_CHAINS, build_poset, chain_count, order_complex
@@ -424,8 +424,8 @@ class TestHomology:
         for p in posets:
             if poset_core(p) is p:
                 continue
-            unred = integral_homology(order_complex(p), reduced=False)
-            red = integral_homology(order_complex(p))
+            unred = integral_homology(order_complex(p))
+            red = reduce_homology(unred)
             report = {
                 "generator": {"tool": "posheaf", "version": __version__},
                 "betti": list(unred.betti_trimmed()),
@@ -568,7 +568,7 @@ class TestSimplifyAndCore:
         posets += [random_poset(rng, rng.randint(4, 8)) for _ in range(5)]
         commands = [["core"]] + [["simplify", "--strategy", s] for s in STRATEGIES]
         for i, p in enumerate(posets):
-            h = integral_homology(order_complex(p))
+            h = reduce_homology(integral_homology(order_complex(p)))
             path = write_doc(tmp_path, poset_doc(p, "Z"), name=f"z{i}.json")
             for command in commands:
                 assert main([command[0], path, *command[1:]]) == 0, command
@@ -663,7 +663,7 @@ class TestSimplifyAndCore:
         runs.append(fields[2] + (face_poset(RP2),))  # H_1 has torsion Z/2
         for i, (ring, tag, command, p) in enumerate(runs):
             if ring is None:
-                data, h = poset_doc(p, tag), integral_homology(order_complex(p))
+                data, h = poset_doc(p, tag), reduce_homology(integral_homology(order_complex(p)))
             else:
                 sp = SheavedSpace(p, random_sheaf(rng, p, ring))
                 data, h = space_to_data(sp, tag), sheaf_cohomology(sp)

@@ -31,6 +31,7 @@ from posheaf.cohomology import (
     field_cohomology,
     integral_homology,
     is_acyclic,
+    reduce_homology,
     roos_complex,
     sheaf_cohomology,
     sheaf_complex,
@@ -377,6 +378,8 @@ class TestCoreKeepsItsCohomology:
             assert len(c.poset) == 1
             sheaf_cohomology(c if core_first else sp)
             assert sheaf_cohomology(sp).betti == (2, 0, 0) and sheaf_cohomology(c).betti == (2,)
+            # a field result, padded or not, carries no torsion
+            assert sheaf_cohomology(sp).torsion == sheaf_cohomology(c).torsion == ()
             assert c._cohomology.betti == (2,) and sp._cohomology is None
 
 
@@ -410,19 +413,19 @@ class TestComplexValidation:
 class TestSimplicialHomology:
     def test_two_points(self):
         k = simplicial_complex([("a",), ("b",)])
-        h = integral_homology(k, reduced=False)
+        h = integral_homology(k)
         assert h.betti_trimmed() == (2,)
 
     def test_circle_integral(self):
         k = order_complex(four_point_circle())
-        h = integral_homology(k, reduced=False)
+        h = integral_homology(k)
         assert h.betti_trimmed() == (1, 1)
         assert h.torsion_trimmed() == ()
 
     def test_projective_plane(self):
         # torsion shows only over Z and GF(2)
         k = simplicial_complex(RP2)
-        h = integral_homology(k, reduced=False)
+        h = integral_homology(k)
         assert h.betti == (1, 0, 0)
         assert h.torsion == ((), (2,), ())
         hq = field_cohomology(simplicial_cochain_complex(k, QQ))
@@ -434,7 +437,7 @@ class TestSimplicialHomology:
         k = simplicial_complex(
             [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")]
         )
-        h = integral_homology(k, reduced=False)
+        h = integral_homology(k)
         assert h.betti == (1, 0, 1)
         assert h.torsion_trimmed() == ()
 
@@ -445,7 +448,7 @@ class TestSimplicialHomology:
             k = order_complex(p)
             if not k.counts():
                 continue
-            hz = integral_homology(k, reduced=False)
+            hz = integral_homology(k)
             hq = field_cohomology(simplicial_cochain_complex(k, QQ))
             assert hz.betti_trimmed() == hq.betti_trimmed()
 
@@ -473,8 +476,8 @@ class TestAcyclicity:
 
     def test_reduced_shifts_h0(self):
         k = order_complex(p5_poset())
-        r = integral_homology(k)
-        u = integral_homology(k, reduced=False)
+        u = integral_homology(k)
+        r = reduce_homology(u)
         assert u.betti[0] == r.betti[0] + 1
         assert u.betti[1:] == r.betti[1:]
 
@@ -486,7 +489,7 @@ class TestUniversalCoefficients:
 
     @staticmethod
     def check(k):
-        h = integral_homology(k, reduced=False)
+        h = integral_homology(k)
         for p in (2, 3, 5):
             t = [sum(1 for d in tors if d % p == 0) for tors in h.torsion]
             expected = tuple(b + t[j] + (t[j - 1] if j else 0) for j, b in enumerate(h.betti))
@@ -498,7 +501,7 @@ class TestUniversalCoefficients:
     ])
     def test_projective_plane_and_suspension(self, facets, torsion):
         for k in (simplicial_complex(facets), order_complex(face_poset(facets))):
-            assert integral_homology(k, reduced=False).torsion_trimmed() == torsion
+            assert integral_homology(k).torsion_trimmed() == torsion
             self.check(k)
 
     def test_random_complexes(self):
@@ -509,13 +512,11 @@ class TestUniversalCoefficients:
 class TestSimplicialModel:
     """Integral homology of a face poset on its own simplicial complex
     equals that of its order complex, the barycentric subdivision (the
-    slow reference), torsion included, reduced or not."""
+    slow reference), torsion included."""
 
     @staticmethod
     def check(p):
-        for reduced in (True, False):
-            assert integral_homology(simplicial_model(p), reduced=reduced) == \
-                integral_homology(order_complex(p), reduced=reduced)
+        assert integral_homology(simplicial_model(p)) == integral_homology(order_complex(p))
 
     def test_random_complexes(self):
         for facets in random_complexes():

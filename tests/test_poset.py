@@ -84,6 +84,16 @@ class TestBuild:
         # counting each name's copies one name at a time took minutes here
         assert time.perf_counter() - t0 < 2
 
+    def test_downset_of_a_long_chain_is_found_in_quadratic_time(self):
+        names = [f"c{i:04d}" for i in range(1_000)]
+        p = build_poset(names, list(zip(names, names[1:])))
+        t0 = time.perf_counter()
+        d = downset(p, names[-1])
+        # building the common set of every comparable pair took over 10 s
+        assert time.perf_counter() - t0 < 2
+        assert d.elements == tuple(names[:-1])
+        assert d.covers == frozenset(zip(names[:-2], names[1:-1]))
+
     def test_empty_poset(self):
         p = build_poset([], [])
         assert len(p) == 0

@@ -707,10 +707,14 @@ class TestAgainstSlowReference:
         assert out == ref_out and out.poset.elements == ref_out.poset.elements
 
     def suite(self, seed, count):
+        """Random spaces; those over Q rescaled to non-integral maps, as in
+        `gen.gauged_suite`."""
         rng = random.Random(seed)
         for _ in range(count):
             p = random_poset(rng, rng.randint(1, 12))
-            yield random_space(rng, p, rng.choice([QQ, GF(3), GF(7)]))
+            ring = rng.choice([QQ, GF(3), GF(7)])
+            sp = random_space(rng, p, ring)
+            yield rescaled(rng, sp) if ring == QQ else sp
 
     @pytest.mark.parametrize("k", [None, 0, 1, 2])
     def test_core(self, k):

@@ -16,10 +16,13 @@ core, so they count explicit `roos_complex` calls and read 0 on every
 workload.
 """
 
+import ast
 import contextlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,3 +126,26 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert out.getvalue().splitlines()[0] == "(1, 1)"
+
+
+def test_integral_homology_of_a_poset_takes_one_route():
+    """`simplify.poset_model` is the one route to a poset's integral
+    homology: the CLI binds no complex builder and no core, and
+    `simplify` calls `simplicial_model` inside `poset_model` only."""
+    src = os.path.dirname(os.path.dirname(simplify.__file__))
+    code = ("import sys, posheaf.cli as cli; "
+            "sys.exit(bool({'simplicial_model', 'poset_core', 'core'} & set(vars(cli))))")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    def callers(node, scope=None):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) == "simplicial_model":
+            yield scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from callers(child, scope)
+
+    tree = ast.parse(Path(simplify.__file__).read_text(encoding="utf-8"))
+    assert list(callers(tree)) == ["poset_model"]
