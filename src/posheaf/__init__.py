@@ -3,31 +3,8 @@
 __version__ = "0.1.0"
 
 from .exact_linalg import GF, QQ, ZZ, Matrix, SmithForm, compose, kernel_basis, rank, smith_normal_form
-from .poset import (
-    OrderComplex,
-    Poset,
-    build_poset,
-    downset,
-    leq,
-    order_complex,
-    posets_isomorphic,
-    remove_element,
-    upset,
-)
-from .sheaf import (
-    SectionSpace,
-    Sheaf,
-    SheavedSpace,
-    ceil_sheaf,
-    check_commutativity,
-    constant_sheaf,
-    global_sections,
-    ideal_sheaf,
-    pullback,
-    restrict,
-    skyscraper_sheaf,
-    strict_down_sheaf,
-)
+from .poset import OrderComplex, Poset, build_poset, leq, order_complex
+from .sheaf import Sheaf, SheavedSpace, check_commutativity, constant_sheaf, restrict
 from .cohomology import (
     CochainComplex,
     HomologyResult,

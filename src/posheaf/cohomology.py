@@ -59,9 +59,6 @@ class CochainComplex:
             if not compose(self.differentials[j + 1], self.differentials[j]).is_zero():
                 raise ComplexError(f"d_{j + 1} . d_{j} != 0")
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** j * n for j, n in enumerate(self.degrees))
-
     def __repr__(self):
         return f"CochainComplex(degrees={self.degrees})"
 
@@ -83,13 +80,6 @@ class HomologyResult(namedtuple("HomologyResult", "betti torsion", defaults=((),
         while t and not t[-1]:
             t.pop()
         return tuple(t)
-
-    def same_groups(self, other: "HomologyResult") -> bool:
-        """Equality of the (co)homology groups, ignoring padding."""
-        return (
-            self.betti_trimmed() == other.betti_trimmed()
-            and self.torsion_trimmed() == other.torsion_trimmed()
-        )
 
     def is_trivial(self) -> bool:
         return not self.betti_trimmed() and not self.torsion_trimmed()

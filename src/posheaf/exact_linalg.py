@@ -20,7 +20,6 @@ import heapq
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
 
 
 class LinalgError(Exception):
@@ -219,18 +218,8 @@ class Matrix:
         self._rank = None
 
     @classmethod
-    def from_rows(cls, ring, rows: Sequence[Sequence]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        return cls(ring, r, c, rows)
-
-    @classmethod
     def identity(cls, ring, n: int) -> "Matrix":
         return cls.from_sparse(ring, n, n, [{i: 1} for i in range(n)])
-
-    @classmethod
-    def zeros(cls, ring, rows: int, cols: int) -> "Matrix":
-        return cls.from_sparse(ring, rows, cols, [{}] * rows)
 
     @property
     def entries(self) -> tuple:
@@ -270,14 +259,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product (column vector)."""
-        if len(vec) != self.cols:
-            raise ShapeError(f"vector length {len(vec)} != cols {self.cols}")
-        coerce = self.ring.coerce
-        v = [coerce(x) for x in vec]
-        return tuple(coerce(sum(a * v[j] for j, a in row.items())) for row in self.sparse)
 
 
 def compose(a: Matrix, b: Matrix) -> Matrix:

@@ -7,14 +7,13 @@ tables, a linear extension and the strict up- and down-closure of every
 element.  The cover tables are the one record of a poset's structure:
 its elements are their keys, its covers are read off them.  Posets are
 immutable after construction, apart from the tables they compute on
-first use.  Downsets and upsets go through :func:`build_poset` again.
-Removing elements needs no rebuild: :func:`_unlink`, the one code that
-edits cover tables, takes one element out by the bridge rule, in place;
-:func:`_subposet_without` reads the subposet off them, comparing only
-the rows next to the removed elements and shrinking only the closures
-of the elements comparable to them.  :func:`remove_element` is the two
-for one element; the working subspace of :mod:`posheaf.sheaf` calls
-:func:`_unlink` for many.
+first use.  :func:`induced_subposet` goes through :func:`build_poset`
+again.  Removing elements needs no rebuild: :func:`_unlink`, the one
+code that edits cover tables, takes one element out by the bridge rule,
+in place; :func:`_subposet_without` reads the subposet off them,
+comparing only the rows next to the removed elements and shrinking only
+the closures of the elements comparable to them.  The working subspace
+of :mod:`posheaf.sheaf` calls the two.
 
 A poset's core is that of its constant sheaf
 (:func:`posheaf.simplify.poset_core`).  The Moebius function
@@ -51,16 +50,10 @@ class RedundantCoverError(PosetError):
     """A declared cover (u, v) is implied by a longer path u -> v."""
 
 
-class IsomorphismSizeError(PosetError):
-    """Isomorphism search is gated to small posets."""
-
-
 class ChainCountError(PosetError):
     """The order complex has more chains than MAX_CHAINS."""
 
 
-# Backtracking isomorphism search is exponential; this is a desk-scale tool.
-ISO_MAX_ELEMENTS = 24
 # Chains can number 2^n - 1 on n elements; order complexes over this many
 # are refused.  The slowest beat-free shape measured under it, the ladder of
 # 10 two-element antichains (59,048 chains), takes 1.6 s over Q at rank 1
@@ -155,9 +148,6 @@ class Poset:
                 mu[e] = -1 - sum(mu[t] for t in closure[e])
             self._mobius[dual] = mu
         return mu
-
-    def maximal_elements(self) -> tuple:
-        return tuple(e for e in self.elements if not self._upper[e])
 
     def linear_extension(self) -> tuple:
         """Elements sorted compatibly with the order: ties by name from
@@ -254,28 +244,6 @@ def induced_subposet(p: Poset, keep) -> Poset:
     # a set of elements fixes its induced subposet of the root order
     q._acyclic = p._acyclic
     return q
-
-
-def downset(p: Poset, s) -> Poset:
-    """The subposet of elements strictly below s."""
-    p._check(s)
-    return induced_subposet(p, p.strictly_below(s))
-
-
-def upset(p: Poset, s) -> Poset:
-    """The subposet of elements strictly above s."""
-    p._check(s)
-    return induced_subposet(p, p._above[s])
-
-
-def remove_element(p: Poset, s) -> Poset:
-    """The subposet without s, derived from p's tables without a rebuild
-    (see :func:`_unlink` and :func:`_subposet_without`).  The result
-    shares p's acyclicity verdicts."""
-    p._check(s)
-    upper, lower = dict(p._upper), dict(p._lower)
-    _unlink(upper, lower, p._above, s)
-    return _subposet_without(p, {s}, upper, lower)[0]
 
 
 def _unlink(upper: dict, lower: dict, above: dict, s) -> None:
@@ -436,93 +404,3 @@ def simplicial_model(p: Poset) -> OrderComplex:
     k = OrderComplex(levels)
     k.element = faces.__getitem__
     return k
-
-
-def _signature(p: Poset):
-    """Refined per-element invariants for isomorphism pruning."""
-    depth = {}
-    for e in p.linear_extension():
-        depth[e] = 1 + max((depth[u] for u in p.lower_covers(e)), default=0)
-    height_up = {}
-    for e in reversed(p.linear_extension()):
-        height_up[e] = 1 + max((height_up[v] for v in p.upper_covers(e)), default=0)
-    sig = {
-        e: (
-            len(p.lower_covers(e)),
-            len(p.upper_covers(e)),
-            depth[e],
-            height_up[e],
-            len(p.strictly_below(e)),
-            len(p._above[e]),
-        )
-        for e in p.elements
-    }
-    # one round of neighborhood refinement
-    refined = {
-        e: (
-            sig[e],
-            tuple(sorted(sig[u] for u in p.lower_covers(e))),
-            tuple(sorted(sig[v] for v in p.upper_covers(e))),
-        )
-        for e in p.elements
-    }
-    return refined
-
-
-def posets_isomorphic(p: Poset, q: Poset) -> Optional[dict]:
-    """A cover-preserving bijection p -> q, or None.
-
-    Backtracking search pruned by degree/height signatures; inputs are
-    gated to ISO_MAX_ELEMENTS elements.
-    """
-    if len(p) > ISO_MAX_ELEMENTS or len(q) > ISO_MAX_ELEMENTS:
-        raise IsomorphismSizeError(
-            f"isomorphism search limited to {ISO_MAX_ELEMENTS} elements"
-        )
-    if len(p) != len(q) or len(p.covers) != len(q.covers):
-        return None
-    sp, sq = _signature(p), _signature(q)
-    if sorted(sp.values()) != sorted(sq.values()):
-        return None
-    # assign rarest-signature elements first
-    freq = Counter(sp.values())
-    order = sorted(p.elements, key=lambda e: (freq[sp[e]], e))
-    candidates = {e: [f for f in q.elements if sq[f] == sp[e]] for e in p.elements}
-    mapping: dict = {}
-    used: set = set()
-
-    def ok(e, f) -> bool:
-        for u in p.lower_covers(e):
-            if u in mapping and (mapping[u], f) not in q.covers:
-                return False
-        for v in p.upper_covers(e):
-            if v in mapping and (f, mapping[v]) not in q.covers:
-                return False
-        # non-covers must map to non-covers (cover counts are equal, so
-        # preserving all covers in one direction suffices at the end; but
-        # prune early on comparabilities)
-        for u, fu in mapping.items():
-            pu = leq(p, u, e)
-            pv = leq(p, e, u)
-            if pu != leq(q, fu, f) or pv != leq(q, f, fu):
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        e = order[i]
-        for f in candidates[e]:
-            if f in used or not ok(e, f):
-                continue
-            mapping[e] = f
-            used.add(f)
-            if search(i + 1):
-                return True
-            del mapping[e]
-            used.discard(f)
-        return False
-
-    if search(0):
-        return dict(mapping)
-    return None

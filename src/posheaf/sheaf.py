@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .exact_linalg import Matrix, PrimeField, Rationals, compose, kernel_basis
+from .exact_linalg import Matrix, PrimeField, Rationals, compose
 from .poset import Poset, _subposet_without, _unlink, leq
 
 
@@ -44,8 +44,8 @@ class Sheaf:
     """Stalk dimensions plus one matrix per cover edge of the base poset.
 
     Construction validates shapes only; call :func:`check_commutativity`
-    (or build through a constructor in this module) to verify that the
-    diagram commutes.  A sheaf remembers a successful check.  A
+    to verify that the diagram commutes.  A sheaf remembers a
+    successful check.  A
     restriction of a verified sheaf is verified by construction and
     shares its parent's memo of the composites made so far.
     """
@@ -92,9 +92,6 @@ class Sheaf:
 
     def __repr__(self):
         return f"Sheaf({self.ring}, {len(self.base)} stalks)"
-
-    def total_dim(self) -> int:
-        return sum(self.stalk_dim.values())
 
     def restriction(self, u, v) -> Matrix:
         """The composite map u -> v for u <= v, made on first use.
@@ -167,24 +164,6 @@ class SheavedSpace:
         return f"SheavedSpace({len(self.poset)} elements, {self.sheaf.ring})"
 
 
-class SectionSpace:
-    """Basis of compatible stalk tuples; coordinates ordered by element.
-
-    `offsets` maps each element to its first coordinate in the ambient
-    product of stalks.
-    """
-
-    __slots__ = ("basis", "offsets")
-
-    def __init__(self, basis, offsets):
-        self.basis = tuple(tuple(v) for v in basis)
-        self.offsets = dict(offsets)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
 def check_commutativity(f: Sheaf) -> tuple[bool, Optional[CommutativityError]]:
     """Verify path-independence of composite maps.
 
@@ -245,52 +224,6 @@ def constant_sheaf(p: Poset, ring, rank_: int = 1) -> Sheaf:
     eye = Matrix.identity(ring, rank_)
     return Sheaf(p, ring, {e: rank_ for e in p.elements},
                  {c: eye for c in p.covers})
-
-
-def ceil_sheaf(p: Poset, s, ring, w: int = 1) -> Sheaf:
-    """Stalk W on every element <= s, identities inside the support."""
-    p._check(s)
-    support = set(p.strictly_below(s)) | {s}
-    return _supported_sheaf(p, support, ring, w)
-
-
-def strict_down_sheaf(p: Poset, s, ring, w: int = 1) -> Sheaf:
-    """Stalk W on every element strictly below s."""
-    p._check(s)
-    return _supported_sheaf(p, set(p.strictly_below(s)), ring, w)
-
-
-def skyscraper_sheaf(p: Poset, s, ring, w: int = 1) -> Sheaf:
-    """Stalk W at s only; every map touching s is zero."""
-    p._check(s)
-    return _supported_sheaf(p, {s}, ring, w)
-
-
-def ideal_sheaf(p: Poset, ideal, ring, w: int = 1) -> Sheaf:
-    """Stalk W on a lower order ideal, identities inside, zero outside."""
-    ideal = set(ideal)
-    for t in ideal:
-        p._check(t)
-        for s in p.strictly_below(t):
-            if s not in ideal:
-                raise SheafError(
-                    f"{sorted(ideal)} is not a lower ideal: {s!r} < {t!r} is missing"
-                )
-    return _supported_sheaf(p, ideal, ring, w)
-
-
-def _supported_sheaf(p: Poset, support: set, ring, w: int) -> Sheaf:
-    if w < 0:
-        raise SheafError("negative rank")
-    dims = {e: (w if e in support else 0) for e in p.elements}
-    eye = Matrix.identity(ring, w)
-    maps = {}
-    for (u, v) in p.covers:
-        if u in support and v in support:
-            maps[(u, v)] = eye
-        else:
-            maps[(u, v)] = Matrix.zeros(ring, dims[v], dims[u])
-    return Sheaf(p, ring, dims, maps)
 
 
 class _WorkingSubspace:
@@ -362,52 +295,3 @@ def restrict(sp: SheavedSpace, keep) -> SheavedSpace:
         if s not in keep:
             w.remove(s)
     return w.space()
-
-
-def pullback(f_map: Mapping, source: Poset, g: Sheaf) -> Sheaf:
-    """Pullback of g along a monotone map given element-wise.
-
-    Stalk at s is the stalk at f(s); a cover (u, v) of the source gets
-    the composite map f(u) -> f(v) of g (the identity when f(u) = f(v)).
-    """
-    target = g.base
-    for e in source.elements:
-        if e not in f_map:
-            raise SheafError(f"map not defined at {e!r}")
-        target._check(f_map[e])
-    for u in source.elements:
-        for v in source.strictly_above(u):
-            if not leq(target, f_map[u], f_map[v]):
-                raise SheafError(
-                    f"map is not monotone: {u!r} <= {v!r} but "
-                    f"{f_map[u]!r} is not below {f_map[v]!r}"
-                )
-    dims = {e: g.stalk_dim[f_map[e]] for e in source.elements}
-    maps = {(u, v): g.restriction(f_map[u], f_map[v]) for (u, v) in source.covers}
-    return Sheaf(source, g.ring, dims, maps)
-
-
-def global_sections(sp: SheavedSpace) -> SectionSpace:
-    """The space of compatible stalk tuples, as a kernel computation.
-
-    Stacks, for every cover (u, v), the equation res(x_u) - x_v = 0 and
-    returns a kernel basis of the resulting block matrix.
-    """
-    f = sp.sheaf
-    ring = f.ring
-    p = sp.poset
-    offsets = {}
-    total = 0
-    for e in p.elements:
-        offsets[e] = total
-        total += f.stalk_dim[e]
-    rows = []
-    for (u, v) in sorted(p.covers):
-        for i, mrow in enumerate(f.cover_maps[(u, v)].sparse):
-            # u != v, so the two stalk blocks of the row are disjoint
-            row = {offsets[u] + j: x for j, x in mrow.items()}
-            row[offsets[v] + i] = -1
-            rows.append(row)
-    mat = Matrix.from_sparse(ring, len(rows), total, rows)
-    basis = kernel_basis(mat)
-    return SectionSpace(basis, offsets)

@@ -168,7 +168,7 @@ def bing_house_with_apexes() -> Poset:
     have acyclic downsets, so the acyclic-downset rule removes them.
     """
     house = bing_house_poset()
-    tops = house.maximal_elements()
+    tops = [t for t in house.elements if not house.upper_covers(t)]
     elements = list(house.elements) + ["apexU", "apexV"]
     covers = list(house.covers)
     for t in tops:

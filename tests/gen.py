@@ -1,9 +1,16 @@
-"""Seeded random posets and commutativity-respecting random sheaves.
+"""Seeded random posets and sheaves, and the references that the tests
+compare the library against.
 
 Random sheaves are gauged direct sums of single-point-support and
 downset-support sheaves: those summands commute by construction, and
 conjugating every stalk by a random invertible matrix preserves
 commutativity while scrambling the maps.
+
+The references that no library code calls live here, out of the
+library: dense rank and Smith-form references, an isomorphism search
+for small posets, global sections as a kernel (an H^0 that builds no
+cochain complex), sheaves supported on a set of elements, and the
+dense matrix helpers `from_rows`, `zeros` and `apply`.
 """
 
 from __future__ import annotations
@@ -11,11 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
-from posheaf.exact_linalg import GF, QQ, Matrix, PrimeField, compose
-from posheaf.poset import Poset, build_poset
-from posheaf.sheaf import Sheaf, SheavedSpace, leq
+from posheaf.exact_linalg import GF, QQ, Matrix, PrimeField, compose, kernel_basis
+from posheaf.poset import Poset, build_poset, leq
+from posheaf.sheaf import Sheaf, SheavedSpace
 
 
 def random_poset(rng: random.Random, n: int, edge_prob: float | None = None) -> Poset:
@@ -234,3 +242,89 @@ def random_ideal(rng: random.Random, poset: Poset) -> set:
         ideal.add(s)
         ideal |= set(poset.strictly_below(s))
     return ideal
+
+
+def from_rows(ring, rows) -> Matrix:
+    """A matrix from dense rows, as many columns as the first row."""
+    return Matrix(ring, len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def zeros(ring, rows: int, cols: int) -> Matrix:
+    return Matrix.from_sparse(ring, rows, cols, [{}] * rows)
+
+
+def apply(m: Matrix, vec) -> tuple:
+    """m times the column vector vec, in m's ring."""
+    return tuple(m.ring.coerce(sum(a * vec[j] for j, a in row.items())) for row in m.sparse)
+
+
+def supported_sheaf(p: Poset, support, ring, w: int = 1) -> Sheaf:
+    """Stalk of dimension w on `support` and 0 elsewhere, identities
+    between elements of the support and zero maps otherwise.  It
+    commutes when the support holds every element between two of its
+    elements, as a strict downset, a lower ideal or one element does."""
+    dims = {e: w if e in support else 0 for e in p.elements}
+    eye = Matrix.identity(ring, w)
+    return Sheaf(p, ring, dims, {(u, v): eye if u in support and v in support
+                                 else zeros(ring, dims[v], dims[u]) for (u, v) in p.covers})
+
+
+def global_sections(sp: SheavedSpace) -> list:
+    """A basis of the global sections: the kernel of the equations
+    res(x_u) - x_v = 0, one block row per cover (u, v), on the product of
+    the stalks in element order."""
+    f, p = sp.sheaf, sp.poset
+    offsets = dict(zip(p.elements, itertools.accumulate(
+        (f.stalk_dim[e] for e in p.elements), initial=0)))
+    rows = []
+    for (u, v) in sorted(p.covers):
+        for i, mrow in enumerate(f.cover_maps[(u, v)].sparse):
+            # u != v, so the two stalk blocks of the row are disjoint
+            rows.append({offsets[u] + j: x for j, x in mrow.items()} | {offsets[v] + i: -1})
+    return kernel_basis(Matrix.from_sparse(f.ring, len(rows), sum(f.stalk_dim.values()), rows))
+
+
+# backtracking is exponential: the search is for small posets only
+ISO_MAX_ELEMENTS = 24
+
+
+def posets_isomorphic(p: Poset, q: Poset) -> dict | None:
+    """An order isomorphism p -> q, or None.
+
+    Backtracking over the bijections that keep a per-element invariant
+    (cover counts and closure sizes, of the element and of its covers),
+    rarest invariant first, accepting an image when the order and its
+    reverse agree with every element already mapped.  Raises ValueError
+    on posets over ISO_MAX_ELEMENTS elements.
+    """
+    if max(len(p), len(q)) > ISO_MAX_ELEMENTS:
+        raise ValueError(f"isomorphism search limited to {ISO_MAX_ELEMENTS} elements")
+
+    def invariant(r):
+        local = {e: (len(r.lower_covers(e)), len(r.upper_covers(e)),
+                     len(r.strictly_below(e)), len(r.strictly_above(e))) for e in r.elements}
+        return {e: (local[e], tuple(sorted(local[u] for u in r.lower_covers(e))),
+                    tuple(sorted(local[v] for v in r.upper_covers(e)))) for e in r.elements}
+
+    sp, sq = invariant(p), invariant(q)
+    if sorted(sp.values()) != sorted(sq.values()):
+        return None
+    freq = Counter(sp.values())
+    order = sorted(p.elements, key=lambda e: (freq[sp[e]], e))
+    mapping = {}
+
+    def search(i: int) -> bool:
+        if i == len(order):
+            return True
+        e = order[i]
+        for f in q.elements:
+            if sq[f] == sp[e] and f not in mapping.values() and all(
+                    leq(p, u, e) == leq(q, fu, f) and leq(p, e, u) == leq(q, f, fu)
+                    for u, fu in mapping.items()):
+                mapping[e] = f
+                if search(i + 1):
+                    return True
+                del mapping[e]
+        return False
+
+    return mapping if search(0) else None

@@ -22,7 +22,14 @@ from fixtures import (
     p5_gadget,
     simplicial_complex,
 )
-from gen import random_ideal, random_poset, random_sheaf
+from gen import (
+    global_sections,
+    posets_isomorphic,
+    random_ideal,
+    random_poset,
+    random_sheaf,
+    supported_sheaf,
+)
 from posheaf.cli import main
 from posheaf.cohomology import (
     field_cohomology,
@@ -35,17 +42,8 @@ from posheaf.cohomology import (
 )
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ
-from posheaf.poset import build_poset, order_complex, posets_isomorphic, remove_element
-from posheaf.sheaf import (
-    SheavedSpace,
-    ideal_sheaf,
-    check_commutativity,
-    constant_sheaf,
-    global_sections,
-    restrict,
-    skyscraper_sheaf,
-    strict_down_sheaf,
-)
+from posheaf.poset import build_poset, induced_subposet, order_complex
+from posheaf.sheaf import SheavedSpace, check_commutativity, constant_sheaf, restrict
 from posheaf.simplify import (
     SimplifyError,
     collapse_beat,
@@ -163,10 +161,10 @@ def _shift_pairs(count, seed=127):
         if len(p.strictly_below(s)) < 2:
             continue
         down = sheaf_cohomology(
-            SheavedSpace(p, strict_down_sheaf(p, s, QQ, w=2))
+            SheavedSpace(p, supported_sheaf(p, p.strictly_below(s), QQ, w=2))
         ).betti
         sky = sheaf_cohomology(
-            SheavedSpace(p, skyscraper_sheaf(p, s, QQ, w=2))
+            SheavedSpace(p, supported_sheaf(p, {s}, QQ, w=2))
         ).betti
         pairs.append((p, s, down, sky))
     return pairs
@@ -211,7 +209,7 @@ def test_criterion_08_ideal_sheaf_cohomology():
         ideal = random_ideal(rng, p)
         if not ideal:
             continue
-        h = betti(SheavedSpace(p, ideal_sheaf(p, ideal, QQ)))
+        h = betti(SheavedSpace(p, supported_sheaf(p, ideal, QQ)))
         sub = build_poset(
             sorted(ideal),
             [(u, v) for (u, v) in p.covers if u in ideal and v in ideal],
@@ -234,9 +232,12 @@ def test_criterion_09_constant_updown_removal():
         for s in p.elements:
             if not (removable_by_acyclic_downset(sp, s) or removable_by_acyclic_upset(sp, s)):
                 continue
-            q = remove_element(p, s)
+            # removed as the library removes it, on a working subspace
+            q = restrict(sp, set(p.elements) - {s}).poset
+            assert q == induced_subposet(p, q.elements)
             hq = reduce_homology(integral_homology(order_complex(q)))
-            assert h.same_groups(hq), (p.elements, s)
+            assert (h.betti_trimmed(), h.torsion_trimmed()) == \
+                (hq.betti_trimmed(), hq.torsion_trimmed()), (p.elements, s)
             removals += 1
     assert removals >= 100
     report(9, f"up/down removal preserves integral homology, {removals} removals")
@@ -281,7 +282,7 @@ def test_criterion_11_structural_suite(tmp_path):
 
         h = sheaf_cohomology(sp)
         h0 = h.betti[0] if h.betti else 0
-        assert h0 == global_sections(sp).dimension
+        assert h0 == len(global_sections(sp))
 
         keep1 = [e for e in p.elements if rng.random() < 0.8]
         keep2 = [e for e in keep1 if rng.random() < 0.8]

@@ -23,7 +23,16 @@ from fixtures import (
     p5_poset,
     simplicial_complex,
 )
-from gen import gauged, gauged_suite, random_poset, random_sheaf, rescaled
+from gen import (
+    from_rows,
+    gauged,
+    gauged_suite,
+    global_sections,
+    random_poset,
+    random_sheaf,
+    rescaled,
+    supported_sheaf,
+)
 from posheaf import cohomology as cohomology_module
 from posheaf.cohomology import (
     CochainComplex,
@@ -37,15 +46,9 @@ from posheaf.cohomology import (
     sheaf_complex,
     simplicial_cochain_complex,
 )
-from posheaf.exact_linalg import GF, QQ, Matrix
+from posheaf.exact_linalg import GF, QQ
 from posheaf.poset import build_poset, order_complex, simplicial_model, simplicial_vertices
-from posheaf.sheaf import (
-    SheavedSpace,
-    constant_sheaf,
-    global_sections,
-    skyscraper_sheaf,
-    strict_down_sheaf,
-)
+from posheaf.sheaf import SheavedSpace, constant_sheaf
 from posheaf.simplify import core, find_beats, simplify_pipeline
 
 
@@ -127,7 +130,7 @@ class TestSheafCohomology:
             sp = space(p, f)
             h = sheaf_cohomology(sp)
             h0 = h.betti[0] if h.betti else 0
-            assert h0 == global_sections(sp).dimension
+            assert h0 == len(global_sections(sp))
 
     def test_euler_characteristic_alternating_sum(self):
         rng = random.Random(37)
@@ -136,7 +139,7 @@ class TestSheafCohomology:
             f = random_sheaf(rng, p, QQ)
             c = roos_complex(space(p, f))
             h = field_cohomology(c)
-            assert c.euler_characteristic() == sum(
+            assert sum((-1) ** j * n for j, n in enumerate(c.degrees)) == sum(
                 (-1) ** j * b for j, b in enumerate(h.betti)
             )
 
@@ -144,7 +147,7 @@ class TestSheafCohomology:
         # the strict downset of "bc" is the two-point antichain {b, c},
         # so the skyscraper picks up its reduced connectivity in degree 1
         p = p5_poset()
-        h = sheaf_cohomology(space(p, skyscraper_sheaf(p, "bc", QQ, w=2)))
+        h = sheaf_cohomology(space(p, supported_sheaf(p, {"bc"}, QQ, w=2)))
         assert h.betti_trimmed() == (0, 2)
 
     def test_mccord_constant_matches_simplicial(self):
@@ -249,7 +252,7 @@ def sheaves_on(rng, p, ring):
     strict-down sheaves at a random element."""
     s = rng.choice(p.elements)
     return [random_sheaf(rng, p, ring), constant_sheaf(p, ring, rng.randint(1, 2)),
-            skyscraper_sheaf(p, s, ring), strict_down_sheaf(p, s, ring)]
+            supported_sheaf(p, {s}, ring), supported_sheaf(p, p.strictly_below(s), ring)]
 
 
 def refused_upbeats(sp):
@@ -335,7 +338,7 @@ class TestCoreKeepsItsCohomology:
             for _ in range(2):
                 assert sheaf_cohomology(named[name]) == expected[name], name
         for name in ("core", "reduced"):
-            assert expected[name].same_groups(expected["input"])
+            assert expected[name].betti_trimmed() == expected["input"].betti_trimmed()
         cores = {id(core(x)[0]): core(x)[0] for x in named.values()}
         assert len(calls) == len(cores)
         for x in cores.values():
@@ -394,15 +397,15 @@ class TestComplexValidation:
         assert calls == []
 
     def test_d_squared_rejected(self):
-        d0 = Matrix.from_rows(QQ, [[1]])
-        d1 = Matrix.from_rows(QQ, [[1]])
+        d0 = from_rows(QQ, [[1]])
+        d1 = from_rows(QQ, [[1]])
         c = CochainComplex((1, 1, 1), (d0, d1))
         with pytest.raises(ComplexError):
             c.check_d_squared()
 
     def test_shape_chain_mismatch(self):
         with pytest.raises(ComplexError):
-            CochainComplex((1, 2), (Matrix.from_rows(QQ, [[1]]),))
+            CochainComplex((1, 2), (from_rows(QQ, [[1]]),))
 
     def test_one_differential_per_degree_pair(self):
         with pytest.raises(ComplexError) as info:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import reference_invariant_factors, reference_rank
+from gen import apply, from_rows, reference_invariant_factors, reference_rank, zeros
 from posheaf import exact_linalg as linalg_module
 from posheaf.exact_linalg import (
     GF,
@@ -27,8 +27,7 @@ from posheaf.exact_linalg import (
 )
 
 
-def M(ring, rows):
-    return Matrix.from_rows(ring, rows)
+M = from_rows
 
 
 class TestRank:
@@ -36,8 +35,8 @@ class TestRank:
         assert rank(Matrix.identity(QQ, 2)) == 2
 
     def test_empty(self):
-        assert rank(Matrix.zeros(QQ, 0, 5)) == 0
-        assert rank(Matrix.zeros(QQ, 5, 0)) == 0
+        assert rank(zeros(QQ, 0, 5)) == 0
+        assert rank(zeros(QQ, 5, 0)) == 0
 
     def test_dependent_rows(self):
         m = M(QQ, [[1, 2], [2, 4]])
@@ -81,10 +80,10 @@ class TestKernel:
         m = M(QQ, [[1, 2], [2, 4]])
         basis = kernel_basis(m)
         assert len(basis) == 1
-        assert all(x == 0 for x in m.apply(basis[0]))
+        assert all(x == 0 for x in apply(m, basis[0]))
 
     def test_zero_rows(self):
-        basis = kernel_basis(Matrix.zeros(QQ, 0, 3))
+        basis = kernel_basis(zeros(QQ, 0, 3))
         assert len(basis) == 3
 
 
@@ -94,7 +93,7 @@ class TestSmith:
         assert sf.diagonal == (1, 6)
 
     def test_zero(self):
-        sf = smith_normal_form(Matrix.zeros(ZZ, 3, 4))
+        sf = smith_normal_form(zeros(ZZ, 3, 4))
         assert sf.rank == 0 and sf.diagonal == ()
 
     def test_identity(self):
@@ -135,14 +134,14 @@ class TestCompose:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            compose(Matrix.zeros(QQ, 2, 3), Matrix.zeros(QQ, 2, 3))
+            compose(zeros(QQ, 2, 3), zeros(QQ, 2, 3))
 
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatchError):
             compose(Matrix.identity(QQ, 2), Matrix.identity(GF(7), 2))
 
     def test_empty_shapes(self):
-        out = compose(Matrix.zeros(QQ, 2, 0), Matrix.zeros(QQ, 0, 3))
+        out = compose(zeros(QQ, 2, 0), zeros(QQ, 0, 3))
         assert (out.rows, out.cols) == (2, 3)
         assert out.is_zero()
 
@@ -199,7 +198,7 @@ def test_eye_flag_on_hand_picked_matrices():
     assert not M(QQ, [[1, 0], [0, 1], [0, 0]])._eye
     assert not M(QQ, [[1, 1], [0, 1]])._eye
     assert not M(QQ, [[0, 1], [1, 0]])._eye
-    assert Matrix.identity(QQ, 0)._eye and not Matrix.zeros(QQ, 0, 2)._eye
+    assert Matrix.identity(QQ, 0)._eye and not zeros(QQ, 0, 2)._eye
 
 
 small_int_matrices = st.integers(1, 5).flatmap(
@@ -226,7 +225,7 @@ def test_kernel_vectors_in_kernel_and_independent(rows):
     basis = kernel_basis(m)
     assert len(basis) == m.cols - rank(m)
     for v in basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in apply(m, v))
     if basis:
         assembled = Matrix(QQ, len(basis), m.cols, basis)
         assert rank(assembled) == len(basis)
@@ -245,7 +244,7 @@ def _random_unimodular(rng, n):
         if i != j:
             f = rng.choice([-2, -1, 1, 2])
             m[i] = [x + f * y for x, y in zip(m[i], m[j])]
-    return Matrix.from_rows(ZZ, m)
+    return M(ZZ, m)
 
 
 def test_smith_invariant_under_unimodular_ops():
@@ -349,8 +348,6 @@ REFUSALS = {
                      "1 rows given for a 2x2 matrix"),
     "negative-shape": (lambda: Matrix.from_sparse(QQ, 0, -1, []), ShapeError,
                        "negative shape 0x-1"),
-    "vector-length": (lambda: Matrix.identity(QQ, 2).apply([1]), ShapeError,
-                      "vector length 1 != cols 2"),
     "broken-divisibility": (lambda: SmithForm((2, 3)), LinalgError,
                             "broken divisibility chain: (2, 3)"),
     "nonpositive-factor": (lambda: SmithForm((0,)), LinalgError,
@@ -421,8 +418,8 @@ def test_rational_results_are_exact_and_canonical(rows):
     for v in basis:
         assert all(_canonical_q(x) for x in v)
         assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
-        assert all(_canonical_q(x) and x == 0 for x in m.apply(v))
-    assert all(_canonical_q(x) for x in m.apply([Fraction(j + 1, 3) for j in range(m.cols)]))
+        assert all(_canonical_q(x) and x == 0 for x in apply(m, v))
+    assert all(_canonical_q(x) for x in apply(m, [Fraction(j + 1, 3) for j in range(m.cols)]))
     mt = M(QQ, [list(col) for col in zip(*rows)])
     for product in (compose(m, mt), compose(mt, m)):
         assert all(_canonical_q(x) for row in product.entries for x in row)

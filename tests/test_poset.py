@@ -15,35 +15,46 @@ from fixtures import (
     p5_poset,
     simplicial_complex,
 )
-from gen import random_poset, zigzag_poset
+from gen import posets_isomorphic, random_poset, zigzag_poset
 from posheaf import sheaf as sheaf_module
+from posheaf.exact_linalg import QQ
 from posheaf.poset import (
     MAX_CHAINS,
     ChainCountError,
     CycleError,
-    IsomorphismSizeError,
-    Poset,
     PosetError,
     RedundantCoverError,
     UnknownElementError,
     _unlink,
     build_poset,
     chain_count,
-    downset,
     induced_subposet,
     leq,
     order_complex,
-    posets_isomorphic,
-    remove_element,
     simplicial_model,
-    upset,
 )
+from posheaf.sheaf import SheavedSpace, constant_sheaf, restrict
 from posheaf.simplify import poset_core
 from test_cohomology import RP2, SUSPENDED_RP2, random_complexes
 
 
 def chain(*names):
     return build_poset(names, list(zip(names, names[1:])))
+
+
+def downset(p, s):
+    return induced_subposet(p, p.strictly_below(s))
+
+
+def upset(p, s):
+    return induced_subposet(p, p.strictly_above(s))
+
+
+def without(p, s):
+    """p less s, as the library removes an element: `restrict` takes it
+    out of a working subspace (`_unlink`) and reads the subposet off the
+    tables (`_subposet_without`)."""
+    return restrict(SheavedSpace(p, constant_sheaf(p, QQ)), set(p.elements) - {s}).poset
 
 
 class TestBuild:
@@ -187,7 +198,8 @@ def cone_over_house():
     """Bing's house with one top above its maximal elements."""
     house = bing_house_poset()
     return build_poset(list(house.elements) + ["top"],
-                       list(house.covers) + [(t, "top") for t in house.maximal_elements()])
+                       list(house.covers) + [(t, "top") for t in house.elements
+                                             if not house.upper_covers(t)])
 
 
 def collapses_by_rebuilding(p) -> bool:
@@ -197,7 +209,7 @@ def collapses_by_rebuilding(p) -> bool:
         beats = [e for e in p.elements if is_downbeat(p, e) or is_upbeat(p, e)]
         if not beats:
             return False
-        p = remove_element(p, beats[0])
+        p = induced_subposet(p, set(p.elements) - {beats[0]})
     return len(p) == 1
 
 
@@ -295,7 +307,7 @@ class TestCertificates:
         p = p5_gadget()
         q = downset(p, "s")
         assert q._acyclic is p._acyclic
-        assert remove_element(q, q.elements[0])._acyclic is p._acyclic
+        assert without(q, q.elements[0])._acyclic is p._acyclic
         core = poset_core(p)
         assert len(core) == 1 and core._acyclic is p._acyclic
         assert build_poset(q.elements, q.covers)._acyclic is not p._acyclic
@@ -405,15 +417,15 @@ class TestSimplicialModel:
 class TestRemove:
     def test_bridge_cover_appears(self):
         p = chain("a", "v", "b")
-        assert remove_element(p, "v") == chain("a", "b")
+        assert without(p, "v") == chain("a", "b")
 
     def test_isolated(self):
         p = build_poset(["a", "b", "c"], [("a", "b")])
-        q = remove_element(p, "c")
+        q = without(p, "c")
         assert q == chain("a", "b")
 
     def test_circle_remove_maximal(self):
-        q = remove_element(four_point_circle(), "x")
+        q = without(four_point_circle(), "x")
         assert q == build_poset(["a", "b", "y"], [("a", "y"), ("b", "y")])
 
     def test_order_preserved_on_rest(self):
@@ -421,14 +433,14 @@ class TestRemove:
         for _ in range(25):
             p = random_poset(rng, rng.randint(2, 8))
             s = rng.choice(p.elements)
-            q = remove_element(p, s)
+            q = without(p, s)
             for u in q.elements:
                 for v in q.elements:
                     assert leq(q, u, v) == leq(p, u, v)
 
 
 class TestRemoveElementAgainstRebuild:
-    """`remove_element` derives its tables locally; the reference is the
+    """Removal derives its tables locally; the reference is the
     subposet rebuilt by `induced_subposet` on every other element."""
 
     def test_random_posets(self):
@@ -437,7 +449,7 @@ class TestRemoveElementAgainstRebuild:
             p = random_poset(rng, rng.randint(1, 14), edge_prob=rng.choice([None, 0.3, 0.6]))
             while len(p):
                 s = rng.choice(p.elements)
-                q = remove_element(p, s)
+                q = without(p, s)
                 fresh = induced_subposet(p, set(p.elements) - {s})
                 assert q.elements == fresh.elements
                 assert q.covers == fresh.covers
@@ -548,7 +560,7 @@ class TestIsomorphism:
 
     def test_size_gate(self):
         p = build_poset([f"e{i}" for i in range(25)], [])
-        with pytest.raises(IsomorphismSizeError):
+        with pytest.raises(ValueError):
             posets_isomorphic(p, p)
 
     def test_one_crown_is_not_two(self):
@@ -630,6 +642,6 @@ def test_derived_posets_revalidate():
     for _ in range(25):
         p = random_poset(rng, rng.randint(2, 9))
         s = rng.choice(p.elements)
-        for q in (downset(p, s), upset(p, s), remove_element(p, s)):
+        for q in (downset(p, s), upset(p, s), without(p, s)):
             # full validation of what each operation derived
             assert build_poset(q.elements, q.covers) == q

@@ -11,13 +11,16 @@ from fixtures import (
     p5_gadget,
 )
 from gen import (
+    from_rows,
     gauged,
     gauged_suite,
+    posets_isomorphic,
     random_ideal,
     random_poset,
     random_sheaf,
     random_space,
     rescaled,
+    supported_sheaf,
     zigzag_poset,
 )
 from posheaf import sheaf as sheaf_module
@@ -31,24 +34,15 @@ from posheaf.cohomology import (
 )
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
-from posheaf.poset import (
-    build_poset,
-    downset,
-    induced_subposet,
-    order_complex,
-    posets_isomorphic,
-    upset,
-)
+from posheaf.poset import build_poset, induced_subposet, order_complex
 from posheaf.sheaf import (
     Sheaf,
     SheavedSpace,
     _WorkingSubspace,
     check_commutativity,
     constant_sheaf,
-    ideal_sheaf,
     require_commutative,
     restrict,
-    skyscraper_sheaf,
 )
 from posheaf.simplify import (
     ACYCLIC_DOWNSET,
@@ -73,6 +67,7 @@ from posheaf.simplify import (
     removable_by_acyclic_upset,
     simplify_pipeline,
 )
+from test_poset import downset, upset
 
 
 def const_space(p, ring=QQ, r=1):
@@ -102,7 +97,7 @@ class TestFindBeats:
 
     def test_upbeat_blocked_by_singular_map(self):
         p = build_poset(["a", "b"], [("a", "b")])
-        f = Sheaf(p, QQ, {"a": 1, "b": 1}, {("a", "b"): Matrix.from_rows(QQ, [[0]])})
+        f = Sheaf(p, QQ, {"a": 1, "b": 1}, {("a", "b"): from_rows(QQ, [[0]])})
         reports = find_beats(SheavedSpace(p, f))
         assert [(r.element, r.kind) for r in reports] == [("b", DOWNBEAT)]
 
@@ -113,8 +108,8 @@ class TestFindBeats:
             QQ,
             {"a": 1, "b": 1, "c": 2},
             {
-                ("a", "c"): Matrix.from_rows(QQ, [[1], [0]]),
-                ("b", "c"): Matrix.from_rows(QQ, [[0], [1]]),
+                ("a", "c"): from_rows(QQ, [[1], [0]]),
+                ("b", "c"): from_rows(QQ, [[0], [1]]),
             },
         )
         # a and b each have a unique upper cover, but the maps are not square
@@ -278,7 +273,7 @@ class TestAcyclicRemovals:
 def skyscraper_2_chain():
     """Q at x and 0 at y over the chain x < y: H^0 is Q, but 0 without x."""
     p = build_poset(["x", "y"], [("x", "y")])
-    return SheavedSpace(p, skyscraper_sheaf(p, "x", QQ))
+    return SheavedSpace(p, supported_sheaf(p, {"x"}, QQ))
 
 
 def diamond_zero_top():
@@ -286,7 +281,7 @@ def diamond_zero_top():
     invertible, those into w are not, and without x H^0 is Q^2."""
     p = build_poset(["x", "v1", "v2", "w"],
                     [("x", "v1"), ("x", "v2"), ("v1", "w"), ("v2", "w")])
-    return SheavedSpace(p, ideal_sheaf(p, {"x", "v1", "v2"}, QQ))
+    return SheavedSpace(p, supported_sheaf(p, {"x", "v1", "v2"}, QQ))
 
 
 class TestAcyclicUpsetAgainstSlowReference:
@@ -305,7 +300,7 @@ class TestAcyclicUpsetAgainstSlowReference:
         if kind == "random":
             f = random_sheaf(rng, p, ring)
         elif kind == "ideal":
-            f = ideal_sheaf(p, random_ideal(rng, p), ring, w)
+            f = supported_sheaf(p, random_ideal(rng, p), ring, w)
         else:
             f = constant_sheaf(p, ring, w)
             f = gauged(rng, f) if kind == "gauged constant" else f
@@ -412,7 +407,7 @@ class TestPipeline:
 
     def test_updown_takes_any_sheaf(self):
         p = build_poset(["a", "b"], [("a", "b")])
-        f = Sheaf(p, QQ, {"a": 1, "b": 1}, {("a", "b"): Matrix.from_rows(QQ, [[2]])})
+        f = Sheaf(p, QQ, {"a": 1, "b": 1}, {("a", "b"): from_rows(QQ, [[2]])})
         out, trace = simplify_pipeline(SheavedSpace(p, f), strategy="constant-updown")
         assert len(out.poset) == 1 and trace.replay() == out
         # the upset rule fires on a sheaf that is only isomorphic to a constant one

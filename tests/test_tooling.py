@@ -1,5 +1,5 @@
-"""Checks on the benchmark's tooling, and on README's library example,
-that need only the library.
+"""Checks on the benchmark's tooling, on README's library example and
+on the library's public names, that need only the library.
 
 `perfbench/spans.py` skips a traced name that no longer exists, so a
 rename would silently drop that layer's metrics from the traced run.
@@ -117,15 +117,66 @@ def test_batch_builds_one_complex_per_core(monkeypatch):
     assert seen == {False, True}
 
 
+def readme_library_example() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+
+
 def test_readme_library_example_runs():
     """README's "Library example" uses only exported names and prints the
     circle's Betti numbers first."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(block, {})
+        exec(readme_library_example(), {})
     assert out.getvalue().splitlines()[0] == "(1, 1)"
+
+
+# public library names that nothing below reaches, and why each stays
+UNREACHED_ON_PURPOSE = {
+    "simplify.collapse_beat": "the paper's single beat removal; README documents it",
+    "simplify.remove_acyclic_downset":
+        "the paper's single acyclic-downset removal; README documents it",
+    "exact_linalg.kernel_basis": "kernels mod p, for certified ranks over Q (ROADMAP item 4)",
+}
+
+
+def referenced_names(source: str) -> set:
+    """The names, attributes and imported names that Python source uses."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_library_name_has_a_caller():
+    """Each public function, class, and public method of a public class,
+    defined in a library module, is referenced by the library's modules,
+    by the benchmark (its own tests apart; a traced name by its last
+    part) or by README's library example.  What only tests call belongs
+    in tests/.  The match is by name, so a name that the benchmark
+    defines for itself counts too."""
+    modules = sorted(p for p in Path(simplify.__file__).parent.glob("*.py")
+                     if p.name != "__init__.py")
+    bench = [p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_oracles.py"]
+    used = {attr.rpartition(".")[2] for _, _, attr, *_ in load_spans().TARGETS}
+    used |= referenced_names(readme_library_example())
+    for path in modules + bench:
+        used |= referenced_names(path.read_text(encoding="utf-8"))
+    defined = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                defined += [(f"{path.stem}.{node.name}.{m.name}", m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+    unreached = {qualified for qualified, name in defined if name not in used}
+    assert unreached == set(UNREACHED_ON_PURPOSE)
 
 
 def test_integral_homology_of_a_poset_takes_one_route():
