@@ -2,18 +2,19 @@
 
 Elements are opaque, sortable names; the cover relation is the
 transitive reduction of the order.  :func:`build_poset` is the one way
-to make a poset: it validates the covers and computes, once, the cover
-tables, a linear extension and the strict up- and down-closure of every
-element.  The cover tables are the one record of a poset's structure:
-its elements are their keys, its covers are read off them.  Posets are
-immutable after construction, apart from the tables they compute on
-first use.  :func:`induced_subposet` goes through :func:`build_poset`
-again.  Removing elements needs no rebuild: :func:`_unlink`, the one
-code that edits cover tables, takes one element out by the bridge rule,
-in place; :func:`_subposet_without` reads the subposet off them,
-comparing only the rows next to the removed elements and shrinking only
-the closures of the elements comparable to them.  The working subspace
-of :mod:`posheaf.sheaf` calls the two.
+to make a poset from names and covers: it validates the covers and
+computes, once, the cover tables, a linear extension and the strict up-
+and down-closure of every element.  The cover tables are the one record
+of a poset's structure: its elements are their keys, its covers are
+read off them.  Posets are immutable after construction, apart from the
+tables they compute on first use.  A subposet needs no rebuild:
+:func:`_unlink`, the one code that edits cover tables, takes one element
+out by the bridge rule, in place; :func:`_subposet_without` reads the
+subposet off them, comparing only the rows next to the removed elements
+and shrinking only the closures of the elements comparable to them.
+:func:`induced_subposet` and the working subspace of
+:mod:`posheaf.sheaf` call the two, so the library calls
+:func:`build_poset` on documents only.
 
 A poset's core is that of its constant sheaf
 (:func:`posheaf.simplify.poset_core`).  The Moebius function
@@ -231,19 +232,17 @@ def leq(p: Poset, u, v) -> bool:
 
 
 def induced_subposet(p: Poset, keep) -> Poset:
-    """Subposet on `keep` with the induced order; covers recomputed."""
+    """Subposet on `keep` with the induced order, read off copies of p's
+    cover tables that the other elements leave by the bridge rule.  It
+    shares p's acyclicity verdicts; its linear extension is p's less
+    those elements."""
     keep = set(keep)
-    for e in keep:
-        p._check(e)
-    sub = [e for e in p.elements if e in keep]
-    above = {e: p._above[e] & keep for e in sub}
-    below = {e: p._below[e] & keep for e in sub}
-    # (u, v) is an induced cover iff no kept element lies strictly between
-    covers = {(u, v) for u in sub for v in above[u] if above[u].isdisjoint(below[v])}
-    q = build_poset(sub, covers)
-    # a set of elements fixes its induced subposet of the root order
-    q._acyclic = p._acyclic
-    return q
+    p._check(*keep)
+    upper, lower = dict(p._upper), dict(p._lower)
+    removed = [e for e in p.elements if e not in keep]
+    for s in removed:
+        _unlink(upper, lower, p._above, s)
+    return _subposet_without(p, set(removed), upper, lower)[0]
 
 
 def _unlink(upper: dict, lower: dict, above: dict, s) -> None:

@@ -8,9 +8,10 @@ commutativity while scrambling the maps.
 
 The references that no library code calls live here, out of the
 library: dense rank and Smith-form references, an isomorphism search
-for small posets, global sections as a kernel (an H^0 that builds no
-cochain complex), sheaves supported on a set of elements, and the
-dense matrix helpers `from_rows`, `zeros` and `apply`.
+for small posets, subposets rebuilt from scratch, global sections as a
+kernel (an H^0 that builds no cochain complex), sheaves supported on a
+set of elements, and the dense matrix helpers `from_rows`, `zeros` and
+`apply`.
 """
 
 from __future__ import annotations
@@ -232,6 +233,18 @@ def zigzag_poset(dual=False):
     if dual:
         covers = [(v, u) for u, v in covers]
     return build_poset(["m1", "m2", "m3", "t1", "t2", "s", "x", "y"], covers)
+
+
+def rebuilt_subposet(p: Poset, keep) -> Poset:
+    """The subposet of p on `keep`, rebuilt and validated by `build_poset`:
+    u < v is an induced cover iff no kept element lies strictly between.
+    The reference for subposets derived by the bridge rule."""
+    keep = set(keep)
+    sub = [e for e in p.elements if e in keep]
+    above = {e: p.strictly_above(e) & keep for e in sub}
+    below = {e: p.strictly_below(e) & keep for e in sub}
+    return build_poset(sub, {(u, v) for u in sub for v in above[u]
+                             if above[u].isdisjoint(below[v])})
 
 
 def random_ideal(rng: random.Random, poset: Poset) -> set:

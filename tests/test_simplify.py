@@ -18,6 +18,7 @@ from gen import (
     random_ideal,
     random_poset,
     random_sheaf,
+    rebuilt_subposet,
     random_space,
     rescaled,
     supported_sheaf,
@@ -34,7 +35,7 @@ from posheaf.cohomology import (
 )
 from posheaf.documents import document_space, parse_space, space_to_data
 from posheaf.exact_linalg import GF, QQ, Matrix
-from posheaf.poset import build_poset, induced_subposet, order_complex
+from posheaf.poset import build_poset, order_complex
 from posheaf.sheaf import (
     Sheaf,
     SheavedSpace,
@@ -656,11 +657,11 @@ def test_no_composite_is_made_twice(monkeypatch):
 
 def _reference_restrict(sp, keep):
     """`restrict` as it was before removals became local: the subposet is
-    rebuilt by `induced_subposet`, and the child is built and validated
+    rebuilt by `gen.rebuilt_subposet`, and the child is built and validated
     by the `Sheaf` constructor from the parent's composites."""
     f = sp.sheaf
     require_commutative(f)
-    sub = induced_subposet(sp.poset, keep)
+    sub = rebuilt_subposet(sp.poset, keep)
     dims = {e: f.stalk_dim[e] for e in sub.elements}
     g = Sheaf(sub, f.ring, dims, {c: f.restriction(*c) for c in sub.covers})
     return SheavedSpace(sub, g)
@@ -728,6 +729,18 @@ class TestAgainstSlowReference:
                              _reference_greedy(sp, STRATEGY_RULES[strategy], ref_rng))
 
 
+def logged_calls(monkeypatch, *names):
+    """The arguments of every call to `names` from the poset, sheaf and
+    simplify modules, logged into the list returned."""
+    log = []
+    for module in (poset_module, sheaf_module, simplify_module):
+        for name in names:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, lambda *a, fn=fn: log.append(a) or fn(*a))
+    return log
+
+
 def test_chain_core_tests_only_the_covers_of_each_removal(monkeypatch):
     """On a 100-element chain `core` tests every element for a beat once,
     then only the covers of each removed element: at most 3n predicate
@@ -740,16 +753,24 @@ def test_chain_core_tests_only_the_covers_of_each_removal(monkeypatch):
     for rule in BEATS:
         monkeypatch.setitem(
             RULES, rule, lambda sp, e, predicate=RULES[rule]: tested.append(e) or predicate(sp, e))
-    rebuilt = []
-    for module in (poset_module, sheaf_module, simplify_module):
-        for name in ("induced_subposet", "build_poset"):
-            fn = getattr(module, name, None)
-            if fn is not None:
-                monkeypatch.setattr(module, name,
-                                    lambda *a, fn=fn: rebuilt.append(a) or fn(*a))
+    rebuilt = logged_calls(monkeypatch, "induced_subposet", "build_poset")
     out, trace = core(sp)
     assert len(out.poset) == 1 and len(trace.steps) == n - 1
     # find_beats tests each element, and each removal the cover it leaves
     assert 2 * n - 1 <= len(tested) <= 3 * n
+    assert trace.replay() == out
+    assert rebuilt == []
+
+
+def test_house_apexes_leave_without_a_rebuilt_poset(monkeypatch):
+    """The acyclic-downset pass takes both apexes off Bing's house, and
+    the strict downset it tests, its pipeline replay and a second replay
+    derive every poset by the bridge rule: none goes through
+    `build_poset`."""
+    p = bing_house_with_apexes()
+    sp = SheavedSpace(p, constant_sheaf(p, GF(7)))
+    rebuilt = logged_calls(monkeypatch, "build_poset")
+    out, trace = simplify_pipeline(sp, "acyclic-down")
+    assert set(p.elements) - set(out.poset.elements) == {"apexU", "apexV"}
     assert trace.replay() == out
     assert rebuilt == []

@@ -179,6 +179,17 @@ def test_every_public_library_name_has_a_caller():
     assert unreached == set(UNREACHED_ON_PURPOSE)
 
 
+def callers(node, name, scope=None):
+    """The function around each call of `name` in an AST, in order."""
+    func = getattr(node, "func", None)
+    if getattr(func, "id", getattr(func, "attr", None)) == name:
+        yield scope
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from callers(child, name, scope)
+
+
 def test_integral_homology_of_a_poset_takes_one_route():
     """`simplify.poset_model` is the one route to a poset's integral
     homology: the CLI binds no complex builder and no core, and
@@ -188,15 +199,16 @@ def test_integral_homology_of_a_poset_takes_one_route():
             "sys.exit(bool({'simplicial_model', 'poset_core', 'core'} & set(vars(cli))))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
-
-    def callers(node, scope=None):
-        func = getattr(node, "func", None)
-        if getattr(func, "id", getattr(func, "attr", None)) == "simplicial_model":
-            yield scope
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        for child in ast.iter_child_nodes(node):
-            yield from callers(child, scope)
-
     tree = ast.parse(Path(simplify.__file__).read_text(encoding="utf-8"))
-    assert list(callers(tree)) == ["poset_model"]
+    assert list(callers(tree, "simplicial_model")) == ["poset_model"]
+
+
+def test_posets_are_built_from_documents_only():
+    """`documents.document_poset` is the one caller of `build_poset` in
+    the library: every other poset is derived from one by the bridge
+    rule, which checks nothing again."""
+    found = []
+    for path in sorted(Path(simplify.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}.{scope}" for scope in callers(tree, "build_poset")]
+    assert found == ["documents.document_poset"]
