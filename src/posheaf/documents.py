@@ -1,7 +1,9 @@
 """JSON document format for sheaved spaces and reports.
 
 Scalars cross the boundary as strings ("3", "-1/2", residues mod p) so
-no float ever enters; matrices are row-major lists of rows.  An absent
+no float ever enters; the ring's `coerce` reads them by the one scalar
+grammar of :mod:`posheaf.exact_linalg`, and its refusal is the
+document's.  Matrices are row-major lists of rows.  An absent
 sheaf block means the constant rank-1 sheaf.  Field tags: "Q", "GF:<p>"
 with p prime in ASCII digits, or "Z": constant integral coefficients,
 so a "Z" document is its poset and a sheaf block in it is checked for
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -24,9 +25,6 @@ from .sheaf import Sheaf, SheavedSpace, SheafError, constant_sheaf
 
 MAP_KEY_SEP = "->"
 _NAME_RE = re.compile(r"[^\s]+")
-# an optional sign, digits, optionally "/digits": Fraction would also
-# take exponents ("1e999999"), decimals and whitespace
-_SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 # int() would also take a sign, whitespace, "_" and non-ASCII digits
 _FIELD_RE = re.compile(r"GF:([0-9]+)")
 
@@ -155,14 +153,8 @@ def load_space(path) -> SpaceDocument:
 def _parse_scalar(s, ring):
     if not isinstance(s, str):
         raise DocumentError(f"scalar entries must be strings, got {s!r}")
-    if not _SCALAR_RE.fullmatch(s):
-        raise DocumentError(f"bad scalar {s!r}: want an integer or a fraction like '-1/2'")
     try:
-        value = Fraction(s) if "/" in s else int(s)
-    except (ValueError, ZeroDivisionError):  # "1/0"; more digits than int() takes
-        raise DocumentError(f"bad scalar {s!r}")
-    try:
-        return ring.coerce(value)
+        return ring.coerce(s)
     except LinalgError as e:
         raise DocumentError(str(e))
 

@@ -18,8 +18,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
+
+
+# the one scalar grammar, of documents and every `coerce`: sign, digits, "/digits"
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class LinalgError(Exception):
@@ -50,24 +55,35 @@ def _is_prime(n: int) -> bool:
 
 
 def _exact(x):
-    """x as an int or a Fraction; floats and unparsable values are refused."""
+    """x as an int or a Fraction, if it is an int (bools too), a Fraction
+    or a string of `_SCALAR_RE`; anything else is refused at once, where
+    `Fraction()` would take exponents ("1e5000000"), decimals and spaces."""
+    if isinstance(x, str):
+        if not _SCALAR_RE.fullmatch(x):
+            raise LinalgError(f"bad scalar {x!r}: want an integer or a fraction like '-1/2'")
+        try:
+            if "/" not in x:
+                return int(x)
+            n, d = x.split("/")
+            return Fraction(int(n), int(d))
+        except (ValueError, ZeroDivisionError):  # "1/0"; more digits than int() takes
+            raise LinalgError(f"bad scalar {x!r}") from None
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, float):
         raise LinalgError(f"binary floats are not exact scalars: {x!r}")
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise LinalgError(f"not an exact scalar: {x!r}") from e
+    raise LinalgError(f"not an exact scalar: {x!r}")
 
 
-def _integer(x, what: str) -> int:
+def _integer(x, ring) -> int:
+    """x as an int, if it is an integral exact scalar."""
     x = _exact(x)
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise LinalgError(f"not {what}: {x}")
-        return x.numerator
-    return int(x)
+    if isinstance(x, int):
+        return int(x)
+    if x.denominator != 1:  # x is a Fraction
+        what = "an integer" if ring.name == "Z" else f"a {ring.name} residue"
+        raise LinalgError(f"not {what}: {x}")
+    return x.numerator
 
 
 def _canonical(q):
@@ -93,7 +109,9 @@ class Rationals:
         if type(x) is int:  # the common cases skip the ABC checks
             return x
         if type(x) is not Fraction:
-            x = Fraction(_exact(x))
+            x = _exact(x)
+            if type(x) is not Fraction:  # an integer string, a bool, a subclass
+                return int(x) if isinstance(x, int) else _canonical(Fraction(x))
         return _canonical(x)
 
     def __repr__(self):
@@ -115,7 +133,7 @@ class Integers:
     def coerce(self, x):
         if type(x) is int:
             return x
-        return _integer(x, "an integer")
+        return _integer(x, self)
 
     def __repr__(self):
         return "ZZ"
@@ -143,7 +161,7 @@ class PrimeField:
     def coerce(self, x):
         if type(x) is int:
             return x % self.p
-        return _integer(x, f"a GF({self.p}) residue") % self.p
+        return _integer(x, self) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"

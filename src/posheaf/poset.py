@@ -10,8 +10,8 @@ read off them.  Posets are immutable after construction, apart from the
 tables they compute on first use.  A subposet needs no rebuild:
 :func:`_unlink`, the one code that edits cover tables, takes one element
 out by the bridge rule, in place; :func:`_subposet_without` reads the
-subposet off them, comparing only the rows next to the removed elements
-and shrinking only the closures of the elements comparable to them.
+subposet off them, shrinking only the closures of the elements
+comparable to the removed ones.
 :func:`induced_subposet` and the working subspace of
 :mod:`posheaf.sheaf` call the two, so the library calls
 :func:`build_poset` on documents only.
@@ -73,10 +73,9 @@ class Poset:
     __slots__ = ("elements", "_covers", "_order", "_above", "_below", "_upper", "_lower",
                  "_mobius", "_acyclic")
 
-    def __init__(self, upper: dict, lower: dict, above: dict, below: dict, order: tuple,
-                 covers: Optional[frozenset] = None):
+    def __init__(self, upper: dict, lower: dict, above: dict, below: dict, order: tuple):
         self.elements = tuple(upper)
-        self._covers = covers  # read off `upper` on first use if None
+        self._covers = None  # the cover pairs, read off `upper` on first use
         self._order = order  # a linear extension
         self._upper = upper
         self._lower = lower
@@ -222,7 +221,7 @@ def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
                 raise RedundantCoverError(
                     f"cover ({u!r}, {v!r}) is implied by a path through {w!r}"
                 )
-    return Poset(upper, lower, above, below, tuple(order), covers)
+    return Poset(upper, lower, above, below, tuple(order))
 
 
 def leq(p: Poset, u, v) -> bool:
@@ -242,7 +241,7 @@ def induced_subposet(p: Poset, keep) -> Poset:
     removed = [e for e in p.elements if e not in keep]
     for s in removed:
         _unlink(upper, lower, p._above, s)
-    return _subposet_without(p, set(removed), upper, lower)[0]
+    return _subposet_without(p, set(removed), upper, lower)
 
 
 def _unlink(upper: dict, lower: dict, above: dict, s) -> None:
@@ -266,28 +265,20 @@ def _unlink(upper: dict, lower: dict, above: dict, s) -> None:
                                 + [a for (a, y) in bridges if y == b]))
 
 
-def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict):
+def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict) -> Poset:
     """The subposet of p on the elements not in `removed`, which takes
-    over the cover tables, and the sets of covers that went and came.
+    over the cover tables.
 
-    A cover between kept elements stays one, so the covers that went are
-    p's covers at the removed elements.  A cover that came spans a
-    chain of removed elements, so it starts at a kept lower cover of one
-    of them: only those rows of `upper` are compared with p's.  A
-    closure that meets `removed` loses it; every other closure is p's
+    A closure that meets `removed` loses it; every other closure is p's
     own.  The result shares p's acyclicity verdicts."""
     def shrunk(closure):
         return {x: c if c.isdisjoint(removed) else c - removed
                 for x, c in closure.items() if x not in removed}
 
-    went = {(a, s) for s in removed for a in p._lower[s]}
-    went.update((s, b) for s in removed for b in p._upper[s])
-    came = {(a, b) for a in {a for a, _ in went if a not in removed}
-            for b in upper[a] if b not in p._upper[a]}
     q = Poset(upper, lower, shrunk(p._above), shrunk(p._below),
               tuple(e for e in p._order if e not in removed))
     q._acyclic = p._acyclic
-    return q, went, came
+    return q
 
 
 class OrderComplex:

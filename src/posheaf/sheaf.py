@@ -61,9 +61,9 @@ class Sheaf:
         for e in base.elements:
             if e not in stalk_dim:
                 raise SheafError(f"missing stalk dimension for {e!r}")
-            d = int(stalk_dim[e])
-            if d < 0:
-                raise SheafError(f"negative stalk dimension at {e!r}")
+            d = stalk_dim[e]
+            if type(d) is not int or d < 0:  # True is no dimension
+                raise SheafError(f"bad stalk dimension for {e!r}: {d!r}")
             sd[e] = d
         extra = set(stalk_dim) - set(base.elements)
         if extra:
@@ -236,10 +236,10 @@ class _WorkingSubspace:
     rule (:func:`~posheaf.poset._unlink`) and builds nothing.
     :meth:`space` builds the current subspace from the last one built:
     dict copies, the closures of the elements comparable to those
-    removed since, and the last space's maps less those of the covers
-    that went, plus the root sheaf's composite, checked for shape, for
-    each cover that came.  The root sheaf must commute; every space
-    built is verified and shares the root's memo of composites.
+    removed since, and one map per cover in the new `upper` rows: the
+    last space's map if it had that cover, else the root sheaf's
+    composite, checked for shape.  The root sheaf must commute; every
+    space built is verified and shares the root's memo of composites.
     """
 
     __slots__ = ("root", "upper", "lower", "_built")
@@ -259,14 +259,11 @@ class _WorkingSubspace:
         if len(last.poset) == len(self.upper):
             return last
         removed = {e for e in last.poset.elements if e not in self.upper}
-        sub, went, came = _subposet_without(last.poset, removed, dict(self.upper),
-                                            dict(self.lower))
+        sub = _subposet_without(last.poset, removed, dict(self.upper), dict(self.lower))
         dims = {e: d for e, d in last.sheaf.stalk_dim.items() if e not in removed}
-        maps = dict(last.sheaf.cover_maps)
-        for c in went:
-            del maps[c]
-        for c in came:
-            maps[c] = _checked_map(c, f.restriction(*c), f.ring, dims)
+        had = last.sheaf.cover_maps
+        maps = {c: had[c] if c in had else _checked_map(c, f.restriction(*c), f.ring, dims)
+                for c in ((u, v) for u, vs in sub._upper.items() for v in vs)}
         g = object.__new__(Sheaf)
         g.base, g.ring, g.stalk_dim, g.cover_maps = sub, f.ring, dims, maps
         g._composites = f._composites

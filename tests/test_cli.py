@@ -26,8 +26,9 @@ from posheaf import sheaf as sheaf_module
 from posheaf import simplify as simplify_module
 from posheaf.cli import main
 from posheaf.cohomology import integral_homology, reduce_homology, sheaf_cohomology
-from posheaf.documents import document_space, dump_json, parse_space, space_to_data
-from posheaf.exact_linalg import GF, QQ, Matrix
+from posheaf.documents import (DocumentError, _parse_scalar, document_space, dump_json,
+                               parse_space, space_to_data)
+from posheaf.exact_linalg import GF, QQ, LinalgError, Matrix
 from posheaf.poset import MAX_CHAINS, build_poset, chain_count, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf, restrict
 from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep, poset_core
@@ -1053,6 +1054,32 @@ def test_repeated_map_literals_keep_their_errors(tmp_path, capsys, command, doc,
     # a literal is parsed once per shape, and kept only once it parsed
     assert main([command, write_doc(tmp_path, doc)]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+SCALAR_TEXT = (st.text(alphabet="0123456789+-/ ._e\u0663", max_size=8)
+               | st.from_regex(r"[+-]?[0-9]{1,6}(/[0-9]{1,6})?", fullmatch=True))
+
+
+@given(text=SCALAR_TEXT, ring=st.sampled_from([QQ, GF(7)]))
+@settings(max_examples=300, deadline=None)
+def test_documents_read_a_scalar_string_exactly_as_coerce_does(text, ring):
+    """A document takes a scalar string iff `coerce` does, with the same
+    value: both read the one grammar of `exact_linalg`.  Reference: the
+    grammar written out here, a nonzero denominator, and an integral
+    value for GF(7)."""
+    num, _, den = text.partition("/")
+    grammatical = re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text) and int(den or 1) != 0
+    if grammatical and (ring == QQ or int(num) % int(den or 1) == 0):
+        expected = ring.coerce(text)
+        assert expected == ring.coerce(Fraction(int(num), int(den or 1)))
+        got = _parse_scalar(text, ring)
+        assert got == expected and type(got) is type(expected)
+        return
+    with pytest.raises(LinalgError) as refused:
+        ring.coerce(text)
+    with pytest.raises(DocumentError) as info:
+        _parse_scalar(text, ring)
+    assert str(info.value) == str(refused.value)
 
 
 def test_repeated_map_literals_share_one_matrix():

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -340,8 +342,57 @@ def test_inexact_scalars_rejected(make):
         make()
 
 
+OFF_GRAMMAR = {
+    "exponent": "1e5000000",
+    "decimal-object": Decimal("1e5000000"),
+    "padded": " 7 ",
+    "underscore": "1_000",
+    "arabic-indic-digit": "\u0663",
+}
+COERCIONS = {
+    "QQ": QQ.coerce,
+    "ZZ": ZZ.coerce,
+    "GF7": GF(7).coerce,
+    "QQ-matrix": lambda x: Matrix(QQ, 1, 1, [[x]]),
+    "GF7-matrix": lambda x: Matrix(GF(7), 1, 1, [[x]]),
+    "GF7-sparse": lambda x: Matrix.from_sparse(GF(7), 1, 1, [{0: x}]),
+}
+
+
+@pytest.mark.parametrize("coerce", COERCIONS.values(), ids=COERCIONS.keys())
+@pytest.mark.parametrize("value", OFF_GRAMMAR.values(), ids=OFF_GRAMMAR.keys())
+def test_off_grammar_scalars_are_refused_at_once(coerce, value):
+    """A scalar is an int, a Fraction or a string of the documents'
+    grammar; `Fraction()` alone would read "1e5000000" as a
+    16,609,641-bit integer, and " 7 ", "1_000" and Arabic-Indic 3 as
+    numbers."""
+    start = time.perf_counter()
+    with pytest.raises(LinalgError):
+        coerce(value)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("text, q, residue", [
+    ("-6/4", Fraction(-3, 2), None), ("+7", 7, 0), ("007", 7, 0), ("0/5", 0, 0),
+    ("-6/3", -2, 5), ("+0", 0, 0),
+])
+def test_grammar_strings_come_out_canonical(text, q, residue):
+    x = QQ.coerce(text)
+    assert x == q and _canonical_q(x)
+    if residue is None:
+        with pytest.raises(LinalgError, match=r"not a GF\(7\) residue: -3/2"):
+            GF(7).coerce(text)
+        with pytest.raises(LinalgError, match="not an integer: -3/2"):
+            ZZ.coerce(text)
+    else:
+        assert GF(7).coerce(text) == residue and type(GF(7).coerce(text)) is int
+        assert ZZ.coerce(text) == q and type(ZZ.coerce(text)) is int
+    assert Matrix(QQ, 1, 1, [[text]]) == Matrix(QQ, 1, 1, [[q]])
+
+
 REFUSALS = {
-    "unparsable-scalar": (lambda: QQ.coerce("x"), LinalgError, "not an exact scalar: 'x'"),
+    "unparsable-scalar": (lambda: QQ.coerce("x"), LinalgError,
+                          "bad scalar 'x': want an integer or a fraction like '-1/2'"),
     "column-outside": (lambda: Matrix.from_sparse(QQ, 1, 2, [{2: 1}]), ShapeError,
                        "column index outside a 1x2 matrix"),
     "too-few-rows": (lambda: Matrix.from_sparse(QQ, 2, 2, [{}]), ShapeError,

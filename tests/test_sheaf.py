@@ -164,6 +164,12 @@ REFUSALS = {
     "foreign-base": (lambda: SheavedSpace(two_chain(), constant_sheaf(antichain(), QQ)),
                      "sheaf base differs from the given poset"),
     "negative-constant-rank": (lambda: constant_sheaf(two_chain(), QQ, -1), "negative rank"),
+    "float-stalk": (lambda: Sheaf(antichain(), QQ, {"a": 2.7, "b": 2}, {}),
+                    "bad stalk dimension for 'a': 2.7"),
+    "string-stalk": (lambda: Sheaf(antichain(), QQ, {"a": 1, "b": "2"}, {}),
+                     "bad stalk dimension for 'b': '2'"),
+    "bool-stalk": (lambda: Sheaf(antichain(), QQ, {"a": True, "b": 1}, {}),
+                   "bad stalk dimension for 'a': True"),
 }
 
 
@@ -449,8 +455,11 @@ class TestInheritedComposites:
                 while len(sp.poset):
                     k = min(len(sp.poset), rng.randint(1, 2))
                     drop = set(rng.sample(sp.poset.elements, k))
-                    sp = restrict(sp, set(sp.poset.elements) - drop)
+                    parent, sp = sp, restrict(sp, set(sp.poset.elements) - drop)
                     assert_matches_fresh_copy(sp)
+                    # a cover the parent had keeps its Matrix
+                    had = parent.sheaf.cover_maps
+                    assert all(m is had[c] for c, m in sp.sheaf.cover_maps.items() if c in had)
 
 
 @given(

@@ -212,3 +212,13 @@ def test_posets_are_built_from_documents_only():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.stem}.{scope}" for scope in callers(tree, "build_poset")]
     assert found == ["documents.document_poset"]
+
+
+def test_only_exact_linalg_names_fraction():
+    """Scalar parsing has one owner: among the library's modules only
+    `exact_linalg` names `Fraction`, so no other module reads a scalar
+    by a grammar of its own."""
+    modules = sorted(Path(simplify.__file__).parent.glob("*.py"))
+    naming = [p.stem for p in modules
+              if "Fraction" in referenced_names(p.read_text(encoding="utf-8"))]
+    assert naming == ["exact_linalg"]
