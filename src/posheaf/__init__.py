@@ -13,7 +13,6 @@ from .cohomology import (
     is_acyclic,
     reduce_homology,
     roos_complex,
-    sheaf_cohomology,
     sheaf_complex,
     simplicial_cochain_complex,
 )
@@ -26,5 +25,6 @@ from .simplify import (
     remove_acyclic_downset,
     removable_by_acyclic_downset,
     removable_by_acyclic_upset,
+    sheaf_cohomology,
     simplify_pipeline,
 )

@@ -31,7 +31,6 @@ from .cohomology import (
     HomologyResult,
     integral_homology,
     reduce_homology,
-    sheaf_cohomology,
 )
 from .documents import (
     DocumentError,
@@ -48,6 +47,7 @@ from .simplify import (
     STRATEGY_BEATS,
     ReplayError,
     poset_model,
+    sheaf_cohomology,
     simplify_pipeline,
 )
 

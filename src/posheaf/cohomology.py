@@ -2,18 +2,16 @@
 
 Every complex is built by one routine, :func:`_assemble`, on a
 simplicial complex in the :class:`~posheaf.poset.OrderComplex`
-container.  Sheaf cohomology is computed on the beat core of the space,
-which has the same cohomology, from :func:`sheaf_complex` on
-:func:`~posheaf.poset.simplicial_model` of the core: each simplex
-carries the stalk at the element it stands for.  On the face poset of a
-simplicial complex that is the core's own complex, and each face
-contributes its stalk once; on any other poset it is the order complex,
-and the result is the Roos complex (:func:`roos_complex`): each chain
-contributes the stalk at its top element.  Simplicial cochain complexes
-give constant coefficients: the library builds them on
-:func:`~posheaf.simplify.poset_model`, the simplicial model of Stong's
-core.  Cohomology over a field comes from exact ranks (a field result
-has no torsion), integral homology from Smith normal forms, unreduced;
+container.  The sheaf cohomology of a space comes from
+:func:`sheaf_complex` on :func:`~posheaf.poset.simplicial_model` of its
+poset (:func:`space_cohomology`): each simplex carries the stalk at the
+element it stands for.  On the face poset of a simplicial complex that
+is the complex itself, and each face contributes its stalk once; on any
+other poset it is the order complex, and the result is the Roos complex
+(:func:`roos_complex`): each chain contributes the stalk at its top
+element.  Simplicial cochain complexes give constant coefficients.
+Cohomology over a field comes from exact ranks (a field result has no
+torsion), integral homology from Smith normal forms, unreduced;
 :func:`reduce_homology` is the one way to reduce it.
 
 Sign convention: the vertices of every simplex are listed in order
@@ -171,38 +169,11 @@ def field_cohomology(c: CochainComplex) -> HomologyResult:
     return HomologyResult(_betti(c.degrees, [rank(d) for d in c.differentials]))
 
 
-def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
-    """Sheaf cohomology (unreduced), computed on the beat core.
-
-    Removing a beat keeps sheaf cohomology, so the complex is built only
-    for :func:`~posheaf.simplify.core` of the space, on
-    :func:`~posheaf.poset.simplicial_model` of the core: one summand per
-    face if the core is a simplicial face poset, the Roos complex
-    otherwise.  The core keeps that result, so every space with the same core object
-    shares one complex.  The result has one degree per element of a
-    longest chain of the input, as the input's own complex would; the
-    chain budget (:class:`~posheaf.poset.ChainCountError`) applies to
-    the core.
-    """
-    from .simplify import core  # simplify imports this module
-
-    reduced, trace = core(sp)
-    h = reduced._cohomology
-    if h is None:
-        c = sheaf_complex(reduced, simplicial_model(reduced.poset))
-        h = reduced._cohomology = field_cohomology(c)
-    if not trace.steps:
-        return h
-    pad = _longest_chain(sp.poset) - len(h.betti)
-    return HomologyResult(h.betti + (0,) * pad)
-
-
-def _longest_chain(p) -> int:
-    """The number of elements in a longest chain of p."""
-    length = {}
-    for e in p.linear_extension():
-        length[e] = 1 + max((length[u] for u in p.lower_covers(e)), default=0)
-    return max(length.values(), default=0)
+def space_cohomology(sp: SheavedSpace) -> HomologyResult:
+    """Sheaf cohomology of `sp` (unreduced), from :func:`sheaf_complex` on
+    :func:`~posheaf.poset.simplicial_model` of its poset: one summand per
+    face on a simplicial face poset, the Roos complex otherwise."""
+    return field_cohomology(sheaf_complex(sp, simplicial_model(sp.poset)))
 
 
 def simplicial_cochain_complex(k: OrderComplex, ring) -> CochainComplex:

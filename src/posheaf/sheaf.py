@@ -13,8 +13,7 @@ Subspaces of a verified space are made by a private working subspace
 changing only the cover tables next to it, and a :class:`SheavedSpace`
 is built only when one is asked for.  :func:`restrict` and every
 removal loop and rule of :mod:`posheaf.simplify` run on it.  A space
-keeps the deterministic core that :func:`posheaf.simplify.core` finds,
-and a core keeps its sheaf cohomology once it has been computed.
+has two memo slots, which only :mod:`posheaf.simplify` reads and writes.
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ class Sheaf:
     """Stalk dimensions plus one matrix per cover edge of the base poset.
 
     Construction validates shapes only; call :func:`check_commutativity`
-    to verify that the diagram commutes.  A sheaf remembers a
-    successful check.  A
-    restriction of a verified sheaf is verified by construction and
-    shares its parent's memo of the composites made so far.
+    to verify that the diagram commutes.  A sheaf remembers a successful
+    check.  A restriction of a verified sheaf is verified by construction
+    and shares its parent's memo of the composites made so far.
     """
 
     __slots__ = ("base", "ring", "stalk_dim", "cover_maps", "_composites", "_verified")
@@ -67,7 +65,7 @@ class Sheaf:
             sd[e] = d
         extra = set(stalk_dim) - set(base.elements)
         if extra:
-            raise SheafError(f"stalks for unknown elements: {sorted(extra)}")
+            raise SheafError(f"stalks for unknown elements: {_listed(extra)}")
         self.stalk_dim = sd
         cm = {}
         for cov in base.covers:
@@ -76,7 +74,7 @@ class Sheaf:
             cm[cov] = _checked_map(cov, cover_maps[cov], ring, sd)
         extra = set(cover_maps) - set(base.covers)
         if extra:
-            raise SheafError(f"maps for non-covers: {sorted(extra)}")
+            raise SheafError(f"maps for non-covers: {_listed(extra)}")
         self.cover_maps = cm
         self._composites = {}  # (x, v) -> composite x -> v, for x < v
         self._verified = False
@@ -120,9 +118,19 @@ class Sheaf:
         return m
 
 
+def _listed(keys) -> list:
+    """`keys` sorted, by their reprs if they do not compare."""
+    try:
+        return sorted(keys)
+    except TypeError:
+        return sorted(keys, key=repr)
+
+
 def _checked_map(cov, m: Matrix, ring, stalk_dim: Mapping) -> Matrix:
-    """m, if it has the sheaf's ring and the shape of cover cov's map."""
+    """m, if it is a Matrix of the sheaf's ring and cover cov's shape."""
     u, v = cov
+    if not isinstance(m, Matrix):
+        raise SheafError(f"map for {cov!r} is a {type(m).__name__}, not a Matrix")
     if m.ring != ring:
         raise SheafError(f"map for {cov!r} has ring {m.ring}, sheaf has {ring}")
     if (m.rows, m.cols) != (stalk_dim[v], stalk_dim[u]):
@@ -136,11 +144,10 @@ def _checked_map(cov, m: Matrix, ring, stalk_dim: Mapping) -> Matrix:
 class SheavedSpace:
     """A poset together with a sheaf on it.
 
-    `_core` keeps the space's deterministic core and its trace once
-    :func:`posheaf.simplify.core` has computed them (None before).  A
-    core keeps its own sheaf cohomology in `_cohomology`, unpadded, once
-    :func:`posheaf.cohomology.sheaf_cohomology` has computed it (None
-    before, and on every space that is not its own core).
+    `_core` and `_cohomology` are memos of :mod:`posheaf.simplify`, None
+    until it fills them, and neither refers back to the space: the
+    deterministic core and the steps to it, or (None, ()) on a space that
+    is its own core; and a core's sheaf cohomology, unpadded.
     """
 
     __slots__ = ("poset", "sheaf", "_core", "_cohomology")
@@ -219,6 +226,8 @@ def require_commutative(f: Sheaf) -> None:
 
 def constant_sheaf(p: Poset, ring, rank_: int = 1) -> Sheaf:
     """Stalk of dimension `rank_` everywhere, identity cover maps."""
+    if type(rank_) is not int:  # True is no rank
+        raise SheafError(f"bad rank: {rank_!r}")
     if rank_ < 0:
         raise SheafError("negative rank")
     eye = Matrix.identity(ring, rank_)

@@ -17,10 +17,11 @@ Every removal loop (:func:`core`, :func:`simplify_pipeline`,
 :meth:`SimplificationTrace.replay`, :func:`find_beats`) runs on a working
 subspace of :mod:`posheaf.sheaf`, and the predicates of `RULES` take a
 working subspace only.  The beat rules read its cover tables, so a beat
-removal builds nothing; the pass rules read the space it builds.  A
-space that a loop returns has no beat left, so it is recorded as its
-own core, and :func:`core` computes each space's deterministic core
-once; :func:`simplify_pipeline` without a random order starts from it.
+removal builds nothing; the pass rules read the space it builds.  Only
+this module reads and writes a space's memos: :func:`core` computes a
+space's deterministic core once (a space that a loop returns is its own
+core), :func:`simplify_pipeline` starts from it without a random order,
+and :func:`sheaf_cohomology` computes a core's cohomology once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import random
 from collections import namedtuple
 from typing import Optional
 
-from .cohomology import is_acyclic
+from .cohomology import HomologyResult, is_acyclic, space_cohomology
 from .exact_linalg import QQ, rank
 from .poset import OrderComplex, Poset, induced_subposet, simplicial_model
 from .sheaf import SheavedSpace, _WorkingSubspace, constant_sheaf
@@ -195,7 +196,7 @@ def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationT
     space only for a pass rule and at the end.  The space returned has no
     beat left, so it is recorded as its own core."""
     w, steps = _WorkingSubspace(sp), []
-    own_core = rng is None and sp._core is not None and sp._core[0] is sp
+    own_core = rng is None and sp._core is not None and sp._core[0] is None
     kinds = {} if own_core else {b.element: b.kind for b in find_beats(sp)}
     beats = sorted(kinds)  # what find_beats would list, by name
     stale = set()  # elements whose covers changed since their last test
@@ -235,7 +236,7 @@ def _greedy(sp: SheavedSpace, rules, rng) -> tuple[SheavedSpace, SimplificationT
             break
     out = w.space()
     if out._core is None:
-        out._core = (out, SimplificationTrace((), out, out))
+        out._core = (None, ())
     return out, SimplificationTrace(tuple(steps), sp, out)
 
 
@@ -245,14 +246,44 @@ def core(sp: SheavedSpace, rng: Optional[random.Random] = None) -> tuple[Sheaved
     Deterministic order (lowest name first) unless an `rng` is supplied,
     in which case each step removes a uniformly random beat; any order
     reaches an isomorphic core.  The deterministic core is computed once
-    per space and kept on it, so a second call returns the same pair;
-    a call with an `rng` neither reads nor writes that memo.
+    per space and kept on it with its steps, so a second call returns an
+    equal pair with the same core.  A call with an `rng` does not read
+    that memo, and writes it only to record a beat-free space as its own core.
     """
     if rng is not None:
         return _greedy(sp, (), rng)
     if sp._core is None:
-        sp._core = _greedy(sp, (), None)
-    return sp._core
+        out, trace = _greedy(sp, (), None)
+        if out is not sp:
+            sp._core = (out, trace.steps)
+    reduced, steps = sp._core if sp._core[0] is not None else (sp, ())
+    return reduced, SimplificationTrace(steps, sp, reduced)
+
+
+def sheaf_cohomology(sp: SheavedSpace) -> HomologyResult:
+    """Sheaf cohomology (unreduced), computed on the :func:`core`, which
+    has the same cohomology, by :func:`~posheaf.cohomology.space_cohomology`
+    and kept on the core: every space with the same core object shares
+    one complex.  The result has one degree per element of a longest
+    chain of the input, as the input's own complex would; the chain
+    budget (:class:`~posheaf.poset.ChainCountError`) applies to the core.
+    """
+    reduced, trace = core(sp)
+    h = reduced._cohomology
+    if h is None:
+        h = reduced._cohomology = space_cohomology(reduced)
+    if not trace.steps:
+        return h
+    pad = _longest_chain(sp.poset) - len(h.betti)
+    return HomologyResult(h.betti + (0,) * pad)
+
+
+def _longest_chain(p) -> int:
+    """The number of elements in a longest chain of p."""
+    length = {}
+    for e in p.linear_extension():
+        length[e] = 1 + max((length[u] for u in p.lower_covers(e)), default=0)
+    return max(length.values(), default=0)
 
 
 def poset_core(p: Poset) -> Poset:

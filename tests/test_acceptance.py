@@ -38,7 +38,6 @@ from posheaf.cohomology import (
     is_acyclic,
     reduce_homology,
     roos_complex,
-    sheaf_cohomology,
     simplicial_cochain_complex,
 )
 from posheaf.documents import document_space, parse_space, space_to_data
@@ -53,6 +52,7 @@ from posheaf.simplify import (
     remove_acyclic_downset,
     removable_by_acyclic_downset,
     removable_by_acyclic_upset,
+    sheaf_cohomology,
     simplify_pipeline,
 )
 

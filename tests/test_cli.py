@@ -25,13 +25,14 @@ from posheaf import poset as poset_module
 from posheaf import sheaf as sheaf_module
 from posheaf import simplify as simplify_module
 from posheaf.cli import main
-from posheaf.cohomology import integral_homology, reduce_homology, sheaf_cohomology
+from posheaf.cohomology import integral_homology, reduce_homology
 from posheaf.documents import (DocumentError, _parse_scalar, document_space, dump_json,
                                parse_space, space_to_data)
 from posheaf.exact_linalg import GF, QQ, LinalgError, Matrix
 from posheaf.poset import MAX_CHAINS, build_poset, chain_count, order_complex
 from posheaf.sheaf import SheavedSpace, constant_sheaf, restrict
-from posheaf.simplify import STRATEGIES, SimplificationTrace, TraceStep, poset_core
+from posheaf.simplify import (STRATEGIES, SimplificationTrace, TraceStep, poset_core,
+                              sheaf_cohomology)
 from test_cohomology import RP2
 
 

@@ -42,14 +42,13 @@ from posheaf.cohomology import (
     is_acyclic,
     reduce_homology,
     roos_complex,
-    sheaf_cohomology,
     sheaf_complex,
     simplicial_cochain_complex,
 )
 from posheaf.exact_linalg import GF, QQ
 from posheaf.poset import build_poset, order_complex, simplicial_model, simplicial_vertices
 from posheaf.sheaf import SheavedSpace, constant_sheaf
-from posheaf.simplify import core, find_beats, simplify_pipeline
+from posheaf.simplify import core, find_beats, sheaf_cohomology, simplify_pipeline
 
 
 # the minimal 6-vertex triangulation of the real projective plane

@@ -170,6 +170,18 @@ REFUSALS = {
                      "bad stalk dimension for 'b': '2'"),
     "bool-stalk": (lambda: Sheaf(antichain(), QQ, {"a": True, "b": 1}, {}),
                    "bad stalk dimension for 'a': True"),
+    "list-map": (lambda: Sheaf(two_chain(), QQ, {"a": 1, "b": 1}, {("a", "b"): [[1]]}),
+                 "map for ('a', 'b') is a list, not a Matrix"),
+    "missing-map-value": (lambda: Sheaf(two_chain(), QQ, {"a": 1, "b": 1}, {("a", "b"): None}),
+                          "map for ('a', 'b') is a NoneType, not a Matrix"),
+    "unknown-stalks-of-mixed-types": (
+        lambda: Sheaf(antichain(), QQ, {"a": 1, "b": 1, 3: 1, "z": 1}, {}),
+        "stalks for unknown elements: ['z', 3]"),
+    "non-covers-of-mixed-types": (
+        lambda: Sheaf(antichain(), QQ, {"a": 1, "b": 1}, {("a", "b"): EYE, (0, 1): EYE}),
+        "maps for non-covers: [('a', 'b'), (0, 1)]"),
+    "float-constant-rank": (lambda: constant_sheaf(two_chain(), QQ, 2.5), "bad rank: 2.5"),
+    "string-constant-rank": (lambda: constant_sheaf(two_chain(), QQ, "2"), "bad rank: '2'"),
 }
 
 

@@ -1,5 +1,6 @@
-"""Checks on the benchmark's tooling, on README's library example and
-on the library's public names, that need only the library.
+"""Checks on the benchmark's tooling, on README's library example, on
+the library's public names and imports, and on what its memos keep
+alive, that need only the library.
 
 `perfbench/spans.py` skips a traced name that no longer exists, so a
 rename would silently drop that layer's metrics from the traced run.
@@ -7,20 +8,25 @@ Its `simplify.find_beats` metric counts on one call per space: the
 deterministic pipeline starts from the space's memoized core, and a
 later `core` of the same space is a memo hit.  A core keeps its
 cohomology, so the benchmark's batch builds one complex per distinct
-core.  Its `sheaf.restrict` metrics read 0 on the benchmark's
-workloads, whose removals never call `restrict`.  Its
-`cohomology.roos_build_s` and `cohomology.cochain_dim` wrap
-`roos_complex` only, which the library itself no longer calls:
-`sheaf_cohomology` builds `sheaf_complex` on `simplicial_model` of the
-core, so they count explicit `roos_complex` calls and read 0 on every
-workload.
+core.  No memo refers back to its space, so the batch's spaces are
+freed without the cyclic garbage collector.  Its `sheaf.restrict`
+metrics read 0 on the benchmark's workloads, whose removals never call
+`restrict`.  Its `cohomology.roos_build_s` and
+`cohomology.cochain_dim` wrap `roos_complex` only, which the library
+itself no longer calls: `simplify.sheaf_cohomology` builds
+`sheaf_complex` on `simplicial_model` of the core, so they count
+explicit `roos_complex` calls and read 0 on every workload.  The
+library imports at module level only, and its modules import one
+another without a cycle.
 """
 
 import ast
 import contextlib
+import gc
 import importlib.util
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from fixtures import circle_with_apex, p5_gadget
-from gen import zigzag_poset
+from gen import gauged, zigzag_poset
 import posheaf.cli  # noqa: F401  (loads every module the tracer wraps)
 from posheaf import cohomology, sheaf, simplify
 from posheaf.exact_linalg import GF, QQ
@@ -105,16 +111,47 @@ def test_batch_builds_one_complex_per_core(monkeypatch):
         for ring in (QQ, GF(7)):
             sp = SheavedSpace(p, constant_sheaf(p, ring, 2))
             complexes.clear()
-            cohomology.sheaf_cohomology(sp)
+            simplify.sheaf_cohomology(sp)
             reduced, trace = simplify.simplify_pipeline(sp, "acyclic-down")
-            cohomology.sheaf_cohomology(reduced)
+            simplify.sheaf_cohomology(reduced)
             cored, _ = simplify.core(sp)
-            cohomology.sheaf_cohomology(cored)
+            simplify.sheaf_cohomology(cored)
             removed = len(trace.steps) > len(simplify.core(sp)[1].steps)
             assert (reduced is cored) != removed
             assert len(complexes) == 1 + removed
             seen.add(removed)
     assert seen == {False, True}
+
+
+def run_batch_sequence(p, ring, gauge):
+    """The `random-batch` sequence and every other route through the
+    memos, on a space over `ring` on p, gauged or constant."""
+    f = constant_sheaf(p, ring, 2)
+    sp = SheavedSpace(p, gauged(random.Random(3), f) if gauge else f)
+    simplify.sheaf_cohomology(sp)
+    for strategy in simplify.STRATEGIES:
+        for rng in (None, random.Random(5)):
+            reduced, _ = simplify.simplify_pipeline(sp, strategy, rng)
+            simplify.sheaf_cohomology(reduced)
+    simplify.core(sp)
+    simplify.core(sp, random.Random(7))
+    simplify.poset_core(p)
+    simplify.poset_model(p)
+
+
+@pytest.mark.parametrize("make", [circle_with_apex, p5_gadget])
+def test_spaces_are_freed_without_the_cyclic_gc(make):
+    """No memo refers back to its space, so everything that the batch's
+    sequence makes is freed by reference counting alone."""
+    gc.disable()
+    try:
+        gc.collect()
+        for ring in (QQ, GF(7)):
+            for gauge in (False, True):
+                run_batch_sequence(make(), ring, gauge)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def readme_library_example() -> str:
@@ -222,3 +259,41 @@ def test_only_exact_linalg_names_fraction():
     naming = [p.stem for p in modules
               if "Fraction" in referenced_names(p.read_text(encoding="utf-8"))]
     assert naming == ["exact_linalg"]
+
+
+def relative_imports(tree) -> set:
+    """The sibling modules that a module imports relatively; `from .`
+    alone imports the package's `__init__`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.add(node.module or "__init__")
+    return found
+
+
+def test_imports_sit_at_module_level_and_form_no_cycle():
+    """No library module imports inside a function, and the relative
+    imports between the library's modules form no cycle, so each
+    module loads with every name it uses."""
+    graph, nested = {}, []
+    for path in sorted(Path(simplify.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = relative_imports(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.stem}.{node.name}" for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+    done, stack = set(), []
+
+    def visit(module):
+        assert module not in stack, " -> ".join(stack[stack.index(module):] + [module])
+        if module not in done:
+            stack.append(module)
+            for target in sorted(graph[module]):
+                visit(target)
+            stack.pop()
+            done.add(module)
+
+    for module in graph:
+        visit(module)
