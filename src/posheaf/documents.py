@@ -250,32 +250,33 @@ def dump_json(data) -> str:
     and writes a container that recurs at the same depth once: the rows
     that :func:`space_to_data` shares between covers.
     """
-    memo = {}  # (id of a container, its indentation) -> its text
+    return _value(data, "", {}) + "\n"
 
-    def value(obj, pad):
-        t = type(obj)
-        if t is str:
-            return _quote(obj)
-        if t is int:
-            return int.__repr__(obj)
-        if not isinstance(obj, (list, tuple, dict)):
-            return json.dumps(obj)
-        if not obj:
-            return "{}" if isinstance(obj, dict) else "[]"
-        text = memo.get((id(obj), pad))
-        if text is None:
-            inner = pad + "  "
-            sep = ",\n" + inner
-            if isinstance(obj, dict):
-                body = sep.join([f"{_quote(k)}: {value(v, inner)}" for k, v in obj.items()])
-                text = "{\n" + inner + body + "\n" + pad + "}"
-            else:
-                try:
-                    body = sep.join(map(_quote, obj))
-                except TypeError:  # not a list of strings only
-                    body = sep.join([value(v, inner) for v in obj])
-                text = "[\n" + inner + body + "\n" + pad + "]"
-            memo[(id(obj), pad)] = text
-        return text
 
-    return value(data, "") + "\n"
+def _value(obj, pad: str, memo: dict) -> str:
+    """The text of `obj` at indentation `pad`; `memo` maps (id of a container,
+    indentation) to its text.  A closure would refer to itself."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    text = memo.get((id(obj), pad))
+    if text is None:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(obj, dict):
+            body = sep.join([f"{_quote(k)}: {_value(v, inner, memo)}" for k, v in obj.items()])
+            text = "{\n" + inner + body + "\n" + pad + "}"
+        else:
+            try:
+                body = sep.join(map(_quote, obj))
+            except TypeError:  # not a list of strings only
+                body = sep.join([_value(v, inner, memo) for v in obj])
+            text = "[\n" + inner + body + "\n" + pad + "]"
+        memo[(id(obj), pad)] = text
+    return text

@@ -3,15 +3,15 @@
 Elements are opaque, sortable names; the cover relation is the
 transitive reduction of the order.  :func:`build_poset` is the one way
 to make a poset from names and covers: it validates the covers and
-computes, once, the cover tables, a linear extension and the strict up-
-and down-closure of every element.  The cover tables are the one record
-of a poset's structure: its elements are their keys, its covers are
-read off them.  Posets are immutable after construction, apart from the
-tables they compute on first use.  A subposet needs no rebuild:
-:func:`_unlink`, the one code that edits cover tables, takes one element
-out by the bridge rule, in place; :func:`_subposet_without` reads the
-subposet off them, shrinking only the closures of the elements
-comparable to the removed ones.
+computes, once, the cover tables, a linear extension and the strict
+up-closure of every element, all that a poset stores.  The cover tables
+are the one record of its structure: its elements are their keys, its
+covers and down-closures are read off them.  Posets are immutable after
+construction, apart from the tables they compute on first use.  A
+subposet needs no rebuild: :func:`_unlink`, the one code that edits
+cover tables, takes one element out by the bridge rule, in place;
+:func:`_subposet_without` reads the subposet off them, shrinking only
+the up-closures of the elements below the removed ones.
 :func:`induced_subposet` and the working subspace of
 :mod:`posheaf.sheaf` call the two, so the library calls
 :func:`build_poset` on documents only.
@@ -67,20 +67,19 @@ class Poset:
     """Finite poset given by its Hasse diagram.
 
     Construct one with :func:`build_poset`, which validates the input
-    and hands over the tables it computed.
+    and hands over the tables it computed; all else is derived.
     """
 
-    __slots__ = ("elements", "_covers", "_order", "_above", "_below", "_upper", "_lower",
+    __slots__ = ("elements", "_covers", "_order", "_above", "_upper", "_lower",
                  "_mobius", "_acyclic")
 
-    def __init__(self, upper: dict, lower: dict, above: dict, below: dict, order: tuple):
+    def __init__(self, upper: dict, lower: dict, above: dict, order: tuple):
         self.elements = tuple(upper)
         self._covers = None  # the cover pairs, read off `upper` on first use
         self._order = order  # a linear extension
         self._upper = upper
         self._lower = lower
         self._above = above
-        self._below = below
         self._mobius = [None, None]  # the order's table, then the dual's
         # element set -> acyclicity verdict; shared with every induced subposet
         self._acyclic = {}
@@ -127,8 +126,9 @@ class Poset:
         return self._above[e]
 
     def strictly_below(self, e) -> frozenset:
+        """Derived on each call: the elements whose up-closure holds e."""
         self._check(e)
-        return self._below[e]
+        return frozenset(t for t, c in self._above.items() if e in c)
 
     def mobius(self, dual: bool = False) -> dict:
         """mu(e) = -1 - sum of mu(t) over t < e (t > e if `dual`), for every e.
@@ -137,15 +137,20 @@ class Poset:
         poset, so by P. Hall's theorem mu(e) is the reduced Euler
         characteristic of the order complex of the strict downset
         (upset) of e: if it is nonzero, that complex is not acyclic.
-        Computed on first use and kept.
+        Computed on first use, off the up-closures, and kept.
         """
         mu = self._mobius[dual]
         if mu is None:
-            closure = self._above if dual else self._below
-            mu = {}
-            # every element of e's closure comes before e
-            for e in reversed(self._order) if dual else self._order:
-                mu[e] = -1 - sum(mu[t] for t in closure[e])
+            above = self._above
+            if dual:
+                mu = {}
+                for e in reversed(self._order):  # e's upset comes first
+                    mu[e] = -1 - sum(mu[t] for t in above[e])
+            else:
+                mu = dict.fromkeys(self._order, -1)
+                for t in self._order:  # t's downset has pushed already
+                    for v in above[t]:
+                        mu[v] -= mu[t]
             self._mobius[dual] = mu
         return mu
 
@@ -155,22 +160,16 @@ class Poset:
         return self._order
 
 
-def _closures(order, upper, lower) -> tuple[dict, dict]:
-    """Strict up- and down-closure of every element, given a
-    topological order and the cover tables."""
+def _closures(order, upper) -> dict:
+    """The strict up-closure of every element, given a topological
+    order and the upper cover table: the one closure table kept."""
     above = {}
     for e in reversed(order):
         acc = set(upper[e])
         for v in upper[e]:
             acc |= above[v]
         above[e] = frozenset(acc)
-    below = {}
-    for e in order:
-        acc = set(lower[e])
-        for u in lower[e]:
-            acc |= below[u]
-        below[e] = frozenset(acc)
-    return above, below
+    return above
 
 
 def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
@@ -212,7 +211,7 @@ def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
     if len(order) != len(elements):
         cyc = sorted(e for e in elements if indeg[e] > 0)
         raise CycleError(f"cover relation contains a cycle through: {cyc}")
-    above, below = _closures(order, upper, lower)
+    above = _closures(order, upper)
     # redundancy: (u, v) must not be reachable from u via a path avoiding
     # the direct edge
     for (u, v) in covers:
@@ -221,7 +220,7 @@ def build_poset(elements: Iterable[Hashable], covers: Iterable[tuple]) -> Poset:
                 raise RedundantCoverError(
                     f"cover ({u!r}, {v!r}) is implied by a path through {w!r}"
                 )
-    return Poset(upper, lower, above, below, tuple(order))
+    return Poset(upper, lower, above, tuple(order))
 
 
 def leq(p: Poset, u, v) -> bool:
@@ -269,14 +268,11 @@ def _subposet_without(p: Poset, removed: set, upper: dict, lower: dict) -> Poset
     """The subposet of p on the elements not in `removed`, which takes
     over the cover tables.
 
-    A closure that meets `removed` loses it; every other closure is p's
+    An up-closure that meets `removed` loses it; every other one is p's
     own.  The result shares p's acyclicity verdicts."""
-    def shrunk(closure):
-        return {x: c if c.isdisjoint(removed) else c - removed
-                for x, c in closure.items() if x not in removed}
-
-    q = Poset(upper, lower, shrunk(p._above), shrunk(p._below),
-              tuple(e for e in p._order if e not in removed))
+    above = {x: c if c.isdisjoint(removed) else c - removed
+             for x, c in p._above.items() if x not in removed}
+    q = Poset(upper, lower, above, tuple(e for e in p._order if e not in removed))
     q._acyclic = p._acyclic
     return q
 
@@ -316,13 +312,13 @@ def chain_count(p: Poset) -> int:
     """The number of nonempty chains of p, without listing them; past
     MAX_CHAINS the sum stops, and the result only shows that it passed.
 
-    c(e) = 1 + sum of c(t) over t < e counts the chains whose top is e.
+    c(e) = 1 + sum of c(v) over v > e counts the chains whose bottom is e.
     """
-    below = p._below
+    above = p._above
     count = {}
     total = 0
-    for e in p._order:
-        count[e] = 1 + sum(count[t] for t in below[e])
+    for e in reversed(p._order):
+        count[e] = 1 + sum(count[v] for v in above[e])
         total += count[e]
         if total > MAX_CHAINS:
             break
@@ -356,16 +352,17 @@ def simplicial_vertices(p: Poset) -> Optional[dict]:
     elements at or below it.  Then y -> V(y) maps the downset of x one
     to one onto the nonempty subsets of V(x), and y <= z iff V(y) is
     in V(z): each downset is a Boolean lattice without its bottom.
+    V(x) is the union of V over x's lower covers, or {x} if x is minimal.
     """
     if not p.elements:
         return None
-    minimal = {e for e in p.elements if not p._lower[e]}
+    size = Counter(v for c in p._above.values() for v in c)  # x -> |D_x|
     vertices = {}
     seen = set()
-    for x in p.elements:
-        below = p._below[x]
-        v = below & minimal if below else frozenset((x,))
-        if len(below) + 1 != 2 ** len(v) - 1 or v in seen:
+    for x in p._order:
+        lows = p._lower[x]
+        v = frozenset().union(*map(vertices.__getitem__, lows)) if lows else frozenset((x,))
+        if size[x] + 1 != 2 ** len(v) - 1 or v in seen:
             return None
         seen.add(v)
         vertices[x] = v

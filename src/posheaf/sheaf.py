@@ -198,8 +198,9 @@ def _first_violation(f: Sheaf) -> Optional[CommutativityError]:
     u -> w2 -> v must agree.  That is enough, by induction on the
     interval: two cover paths from u to t that leave u through w1 and w2
     can each be rerouted, by induction above w1 and w2, through such a
-    v <= t, where the square makes them agree.  A chain or a tree has no
-    such square.
+    v <= t, where the square makes them agree.  The common upper bounds
+    are up-closed, so v is minimal among them iff none of its lower
+    covers is one.  A chain or a tree has no such square.
     """
     base = f.base
     for u in base.linear_extension():
@@ -209,7 +210,7 @@ def _first_violation(f: Sheaf) -> Optional[CommutativityError]:
             for w2 in ups[i + 1:]:
                 common = base.strictly_above(w1) & base.strictly_above(w2)
                 for v in sorted(v for v in common
-                                if common.isdisjoint(base.strictly_below(v))):
+                                if common.isdisjoint(base.lower_covers(v))):
                     for w in (w1, w2):
                         if (w, v) not in through:
                             through[(w, v)] = compose(f.restriction(w, v), f.cover_maps[(u, w)])

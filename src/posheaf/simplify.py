@@ -56,9 +56,10 @@ def _acyclic_closure(p: Poset, s, dual: bool = False) -> bool:
     order complex, decided past the Moebius test on its
     :func:`poset_model`.  Those verdicts are kept by element set on the
     poset, which shares them with every poset induced from it."""
-    keep = p.strictly_above(s) if dual else p.strictly_below(s)
+    p._check(s)
     if p.mobius(dual)[s]:
         return False
+    keep = p.strictly_above(s) if dual else p.strictly_below(s)  # the memo's key
     verdicts = p._acyclic
     if keep not in verdicts:
         verdicts[keep] = is_acyclic(poset_model(induced_subposet(p, keep)))

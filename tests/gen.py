@@ -11,7 +11,7 @@ library: dense rank and Smith-form references, an isomorphism search
 for small posets, subposets rebuilt from scratch, global sections as a
 kernel (an H^0 that builds no cochain complex), sheaves supported on a
 set of elements, and the dense matrix helpers `from_rows`, `zeros` and
-`apply`.
+`apply`.  `chain_document` writes a deep chain as a document.
 """
 
 from __future__ import annotations
@@ -245,6 +245,18 @@ def rebuilt_subposet(p: Poset, keep) -> Poset:
     below = {e: p.strictly_below(e) & keep for e in sub}
     return build_poset(sub, {(u, v) for u in sub for v in above[u]
                              if above[u].isdisjoint(below[v])})
+
+
+def chain_document(n: int, rank: int = 2, field: str = "GF:7") -> dict:
+    """The document of the n-element chain c0000 < c0001 < ... with the
+    constant sheaf of `rank` over `field`: a deep poset whose strict
+    closures hold n(n - 1)/2 elements in all."""
+    names = [f"c{i:04d}" for i in range(n)]
+    eye = [["1" if i == j else "0" for j in range(rank)] for i in range(rank)]
+    return {"field": field, "elements": names,
+            "covers": [[u, v] for u, v in zip(names, names[1:])],
+            "sheaf": {"stalks": dict.fromkeys(names, rank),
+                      "maps": {f"{u}->{v}": eye for u, v in zip(names, names[1:])}}}
 
 
 def random_ideal(rng: random.Random, poset: Poset) -> set:

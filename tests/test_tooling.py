@@ -9,7 +9,8 @@ deterministic pipeline starts from the space's memoized core, and a
 later `core` of the same space is a memo hit.  A core keeps its
 cohomology, so the benchmark's batch builds one complex per distinct
 core.  No memo refers back to its space, so the batch's spaces are
-freed without the cyclic garbage collector.  Its `sheaf.restrict`
+freed without the cyclic garbage collector, and so is all that writing
+their documents and reports makes.  Its `sheaf.restrict`
 metrics read 0 on the benchmark's workloads, whose removals never call
 `restrict`.  Its `cohomology.roos_build_s` and
 `cohomology.cochain_dim` wrap `roos_complex` only, which the library
@@ -37,7 +38,7 @@ import pytest
 from fixtures import circle_with_apex, p5_gadget
 from gen import gauged, zigzag_poset
 import posheaf.cli  # noqa: F401  (loads every module the tracer wraps)
-from posheaf import cohomology, sheaf, simplify
+from posheaf import cohomology, documents, sheaf, simplify
 from posheaf.exact_linalg import GF, QQ
 from posheaf.sheaf import SheavedSpace, constant_sheaf
 
@@ -149,6 +150,28 @@ def test_spaces_are_freed_without_the_cyclic_gc(make):
         for ring in (QQ, GF(7)):
             for gauge in (False, True):
                 run_batch_sequence(make(), ring, gauge)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("make", [circle_with_apex, p5_gadget])
+def test_documents_are_written_without_the_cyclic_gc(make):
+    """`dump_json` writes by a function that does not refer to itself, so
+    writing a space's document, a report that holds it, and a small
+    nested value leaves nothing for the cyclic garbage collector."""
+    p = make()
+    sp = SheavedSpace(p, gauged(random.Random(3), constant_sheaf(p, GF(7), 2)))
+    gc.disable()
+    try:
+        gc.collect()
+        data = documents.space_to_data(sp, "GF:7")
+        report = {"generator": {"tool": "posheaf", "version": "0"}, "betti": [1, 1],
+                  "certified": True, "trace": [{"removed": p.elements[0], "rule": "downbeat"}],
+                  "sizes": {"before": len(p), "after": len(p) - 1}, "timing_ms": 0.5,
+                  "document": data}
+        for value in (data, report, {"a": [1, 2, {"b": "c"}]}):
+            documents.dump_json(value)
         assert gc.collect() == 0
     finally:
         gc.enable()
